@@ -39,7 +39,6 @@ from .simulate import (
     SimulationConfig,
     default_window_radius,
     estimate_mean_interference,
-    pattern_to_csv,
     replicate_rng,
     sample_palm,
     sample_parent,

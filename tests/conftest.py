@@ -1,8 +1,9 @@
 """Shared pytest configuration.
 
 The hypothesis deadline is disabled globally: several property tests call
-adaptive quadrature, whose first-call import of scipy.integrate can trip
-per-example timing on slow filesystems without indicating any real problem.
+adaptive quadrature, whose run time per example varies with the number of
+panels it needs, and a per-example timing failure there would not indicate
+any real problem.
 """
 
 from hypothesis import HealthCheck, settings

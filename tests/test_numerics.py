@@ -1,17 +1,24 @@
-"""Quadrature wrapper and the hand-rolled upper incomplete gamma function.
+"""The Gauss-Kronrod quadrature and the hand-rolled upper incomplete gamma
+function.
 
 Expected values for the gamma function were computed with mpmath at 40
 significant digits (see scripts/make_oracles.py), an implementation fully
 independent of the one under test. Simple integrals are checked against
-hand antiderivatives.
+hand antiderivatives, and the transition-annulus integrals against QUADPACK
+(scipy.integrate.quad), which the package itself no longer imports.
 """
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
+from matern_interference import analytic, interference
 from matern_interference.errors import ToleranceError, ValidationError
+from matern_interference.models import HardCoreParams, PowerLawPathLoss, ProcessKind
 from matern_interference.numerics import (
     QuadratureConfig,
     QuadratureResult,
@@ -214,6 +221,42 @@ def test_integrate_half_line():
     assert res.value == pytest.approx(1.0, rel=1e-10)
 
 
+def test_integrate_half_line_maps_breakpoints():
+    # int_0^inf e^-|t - 2| dt = (1 - e^-2) + 1, by hand; a panel edge on the
+    # kink saves the panels that would otherwise close in on it
+    def f(t):
+        return math.exp(-abs(t - 2.0))
+
+    res = integrate(f, 0.0, math.inf, QuadratureConfig().with_breakpoints(2.0))
+    assert res.converged
+    assert res.value == pytest.approx(2.0 - math.exp(-2.0), rel=1e-10)
+    assert res.subdivisions_used < integrate(f, 0.0, math.inf).subdivisions_used
+
+
+def test_integrate_endpoint_square_root():
+    # int_0^1 sqrt(1 - t^2) dt = pi/4, a quarter disk; v_union has this
+    # square-root shape as the distance approaches twice the hard-core radius
+    res = integrate(lambda t: math.sqrt(1.0 - t * t), 0.0, 1.0)
+    assert res.converged
+    assert abs(res.value - math.pi / 4.0) <= 1e-10
+
+
+def test_integrate_reports_nan_integrand():
+    res = integrate(lambda t: math.nan if t > 0.5 else 1.0, 0.0, 1.0)
+    assert not res.converged
+    with pytest.raises(ToleranceError):
+        res.require()
+
+
+def test_integrate_reports_exhausted_panel_budget():
+    res = integrate(lambda t: math.sqrt(1.0 - t * t), 0.0, 1.0,
+                    QuadratureConfig(max_subdivisions=1))
+    assert res.subdivisions_used == 1
+    assert not res.converged
+    with pytest.raises(ToleranceError):
+        res.require()
+
+
 def test_integrate_kink_with_breakpoint():
     # int_0^2 |t - 1| dt = 1, by hand; the breakpoint keeps panels off the kink
     cfg = QuadratureConfig().with_breakpoints(1.0)
@@ -231,6 +274,11 @@ def test_integrate_empty_interval_is_zero():
 def test_integrate_rejects_reversed_bounds():
     with pytest.raises(ValidationError):
         integrate(lambda t: t, 2.0, 1.0)
+
+
+def test_integrate_rejects_infinite_lower_bound():
+    with pytest.raises(ValidationError):
+        integrate(lambda t: math.exp(-t * t), -math.inf, 0.0)
 
 
 def test_result_require_raises_with_achieved_error():
@@ -271,3 +319,50 @@ def test_integrate_polynomials_match_antiderivative(coeffs, bounds):
     res = integrate(poly, a, b)
     exact = antideriv(b) - antideriv(a)
     assert res.value == pytest.approx(exact, rel=1e-8, abs=1e-8)
+
+
+GRID_LAMBDA = (0.5, 1.0, 2.0, 4.0)
+GRID_DELTA = (0.25, 0.5, 1.0, 2.0)
+GRID_ALPHA = (2.5, 3.0, 4.0)
+
+
+def test_integrate_matches_quadpack_on_transition_annulus(monkeypatch):
+    """Every integral behind the criterion-4/5 grid (the EIR of both types
+    and K at 1.5 and 3 hard-core distances) agrees with QUADPACK."""
+    calls = []
+
+    def recording(f, a, b, cfg=None):
+        res = integrate(f, a, b, cfg)
+        calls.append((f, a, b, cfg or QuadratureConfig(), res))
+        return res
+
+    monkeypatch.setattr(interference, "integrate", recording)
+    monkeypatch.setattr(analytic, "integrate", recording)
+    for lam in GRID_LAMBDA:
+        for delta in GRID_DELTA:
+            for alpha in GRID_ALPHA:
+                for kind in (ProcessKind.MATERN_I, ProcessKind.MATERN_II):
+                    params = HardCoreParams(lam, delta, kind)
+                    interference.eir(params, PowerLawPathLoss(alpha))
+                    for r in (1.5 * delta, 3.0 * delta):
+                        analytic.k_function(params, r)
+    assert len(calls) == 288
+    for f, a, b, cfg, res in calls:
+        want = quad(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
+                    limit=cfg.max_subdivisions)[0]
+        assert res.converged
+        assert res.value == pytest.approx(want, rel=1e-10), (a, b)
+
+
+def test_cli_quadrature_does_not_import_scipy_integrate():
+    script = (
+        "import sys\n"
+        "from matern_interference.cli import main\n"
+        "code = main(['eir', '--process', 'matern1', '--lambda-p', '2',\n"
+        "             '--delta', '2', '--alpha', '3', '--method', 'quadrature'])\n"
+        "print(code, 'scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
