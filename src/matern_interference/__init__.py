@@ -7,6 +7,12 @@ out of a disk around the receiver, and reports the ratio of the two means,
 the excess interference ratio. Closed forms, guaranteed bounds, adaptive
 quadrature, and Palm-conditioned Monte Carlo all live behind the same small
 set of dataclasses.
+
+The analytic modules import only the standard library. The names that
+belong to the simulator (``simulate``, which needs numpy and scipy) are
+served on first access through the module ``__getattr__`` below, so
+``import matern_interference`` stays light and
+``from matern_interference import sample_palm`` still works.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .models import (
     PowerLawPathLoss,
     ProcessKind,
     TabulatedPathLoss,
+    default_window_radius,
     intensity,
 )
 from .numerics import (
@@ -55,27 +62,6 @@ from .numerics import (
     QuadratureResult,
     integrate,
     upper_incomplete_gamma,
-)
-from .simulate import (
-    KFunctionEstimate,
-    PalmEnsemble,
-    SimulationConfig,
-    TailPolicy,
-    default_window_radius,
-    estimate_intensity,
-    estimate_k_function,
-    estimate_mean_interference,
-    interference_estimate_from_ensemble,
-    intensity_estimate_from_ensemble,
-    pattern_to_csv,
-    replicate_rng,
-    run_palm_ensemble,
-    sample_palm,
-    sample_palm_type1,
-    sample_palm_type2,
-    sample_parent,
-    thin_type1,
-    thin_type2,
 )
 
 __all__ = [
@@ -137,3 +123,18 @@ __all__ = [
     "v_union",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Serve a simulator name, importing ``simulate`` on first use (PEP 562).
+
+    Every other public name is bound by the imports above, so a name in
+    ``__all__`` that reaches this function belongs to ``simulate``.
+    """
+    if name in __all__:
+        from . import simulate
+
+        value = getattr(simulate, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

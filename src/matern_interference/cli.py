@@ -9,6 +9,10 @@ serialized manifest; it is reported on stderr instead.
 
 Decibel values appear only here (and in the eir_db field of EirReport);
 everything the library computes is linear.
+
+Only `interference --method mc` and `sample` need the simulator, so only
+they import `simulate` (and with it numpy and scipy); every other command
+runs on the standard library alone, so its cold start skips numpy's import.
 """
 
 from __future__ import annotations
@@ -34,16 +38,12 @@ from .interference import (
     mean_interference_quadrature,
     NU_TYPE2_UNIVERSAL,
 )
-from .models import HardCoreParams, PowerLawPathLoss, ProcessKind, intensity
-from .simulate import (
-    SimulationConfig,
+from .models import (
+    HardCoreParams,
+    PowerLawPathLoss,
+    ProcessKind,
     default_window_radius,
-    estimate_mean_interference,
-    replicate_rng,
-    sample_palm,
-    sample_parent,
-    thin_type1,
-    thin_type2,
+    intensity,
 )
 
 _PROCESS_BY_FLAG = {
@@ -199,6 +199,8 @@ def _run_interference(p: dict):
         return [row], fields
     if p["method"] != "mc":
         raise ValidationError(f"unknown interference method {p['method']!r}")
+    from .simulate import SimulationConfig, estimate_mean_interference
+
     cfg = SimulationConfig(
         window_radius=p["window_radius"],
         replicates=p["replicates"],
@@ -283,6 +285,15 @@ def _run_bounds(p: dict):
 
 
 def _run_sample(p: dict):
+    from .simulate import (
+        SimulationConfig,
+        replicate_rng,
+        sample_palm,
+        sample_parent,
+        thin_type1,
+        thin_type2,
+    )
+
     params = _params(p["process"], p["lambda_p"], p["delta"])
     if p["mode"] == "palm":
         cfg = SimulationConfig(window_radius=p["window_radius"],

@@ -4,6 +4,16 @@ Conventions: lengths are dimensionless model units, intensities are points
 per unit area, and interference values are linear power (path-loss
 normalized). Decibel conversion happens only at the CLI boundary. All types
 are immutable value objects and safe to share across threads.
+
+Import layering: this module imports only the standard library at module
+level, so that the analytic core (``analytic``, ``interference``,
+``numerics``) and the analytic CLI commands never load numpy, whose import
+takes close to half of a cold ``eir`` run. The scalar value types,
+``intensity`` and ``default_window_radius`` use ``math`` alone, and
+``PowerLawPathLoss`` evaluates a positive Python float with ``math`` too.
+Only the array-side code imports numpy (and scipy), inside the methods that
+need it: ``PowerLawPathLoss`` on any other input, ``TabulatedPathLoss``,
+``FadingModel.sample`` and ``PointPattern``.
 """
 
 from __future__ import annotations
@@ -11,11 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ProcessKind",
@@ -28,6 +39,7 @@ __all__ = [
     "PointPattern",
     "InterferenceEstimate",
     "intensity",
+    "default_window_radius",
 ]
 
 
@@ -86,6 +98,12 @@ def intensity(params: HardCoreParams) -> float:
     return lam_p * (-math.expm1(-x)) / x
 
 
+def default_window_radius(params: HardCoreParams) -> float:
+    """Window that keeps the analytic tail below about a percent of the
+    total for cubic-law path loss."""
+    return max(10.0 * params.delta, 20.0 / math.sqrt(params.lambda_p))
+
+
 # ---------------------------------------------------------------------------
 # Path loss
 # ---------------------------------------------------------------------------
@@ -112,6 +130,17 @@ class PowerLawPathLoss:
             raise ValidationError(f"r0 must be >= 0, got {self.r0}")
 
     def __call__(self, r):
+        # A positive Python float (the quadrature integrands' case) takes
+        # the math path, which gives the same bits as the NumPy path below.
+        # Zero, negatives, NaN, an overflowing power, NumPy scalars and
+        # arrays keep NumPy's semantics (inf, NaN propagation, warnings).
+        if type(r) is float and r > 0.0:
+            try:
+                return max(self.r0, r) ** -self.alpha
+            except OverflowError:
+                pass
+        import numpy as np
+
         return np.maximum(self.r0, r) ** (-self.alpha)
 
     def radial_integral(self, lower: float, upper: float = math.inf) -> float:
@@ -153,6 +182,8 @@ class TabulatedPathLoss:
     g_grid: tuple[float, ...]
 
     def __post_init__(self):
+        import numpy as np
+
         r = np.asarray(self.r_grid, dtype=float)
         g = np.asarray(self.g_grid, dtype=float)
         if r.ndim != 1 or r.shape != g.shape or r.size < 2:
@@ -171,6 +202,8 @@ class TabulatedPathLoss:
         object.__setattr__(self, "g_grid", tuple(float(v) for v in g))
 
     def __call__(self, r):
+        import numpy as np
+
         return np.interp(r, self.r_grid, self.g_grid, left=self.g_grid[0], right=0.0)
 
     @property
@@ -184,6 +217,8 @@ class TabulatedPathLoss:
         hi = min(upper, self.support_end)
         if hi <= lower:
             return 0.0
+        import numpy as np
+
         knots = [x for x in self.r_grid if lower < x < hi]
         grid = np.array([lower] + knots + [hi])
         # g is piecewise linear, so g*r is piecewise quadratic; Simpson on
@@ -225,6 +260,8 @@ class FadingModel:
             raise ValidationError("gamma_shape only applies to gamma fading")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
+
         if self.kind is FadingKind.NONE:
             return np.ones(n)
         if self.kind is FadingKind.UNIT_MEAN_EXPONENTIAL:
@@ -251,6 +288,8 @@ class PointPattern:
     marks: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        import numpy as np
+
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         object.__setattr__(self, "points", pts)
         if not (self.window_radius > 0 and math.isfinite(self.window_radius)):
@@ -272,15 +311,22 @@ class PointPattern:
     @property
     def radii(self) -> np.ndarray:
         """Distances of the points from the origin."""
+        import numpy as np
+
         return np.hypot(self.points[:, 0], self.points[:, 1])
 
     def min_pair_distance(self) -> float:
-        """Smallest pairwise distance (inf for fewer than two points)."""
+        """Smallest pairwise distance (inf for fewer than two points).
+
+        Each point's nearest other point comes from one KD-tree query, so
+        memory stays linear in the number of points.
+        """
         if len(self) < 2:
             return math.inf
-        from scipy.spatial.distance import pdist
+        from scipy.spatial import cKDTree
 
-        return float(pdist(self.points).min())
+        dist, _ = cKDTree(self.points).query(self.points, k=2)
+        return float(dist[:, 1].min())
 
 
 @dataclass(frozen=True)

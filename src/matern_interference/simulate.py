@@ -40,6 +40,7 @@ from .models import (
     PathLossModel,
     PointPattern,
     ProcessKind,
+    default_window_radius,
     intensity,
 )
 
@@ -109,12 +110,6 @@ class SimulationConfig:
             raise ValidationError("seed must be an unsigned 64-bit integer")
         if self.guard is not None and not (self.guard >= 0 and math.isfinite(self.guard)):
             raise ValidationError("guard must be >= 0")
-
-
-def default_window_radius(params: HardCoreParams) -> float:
-    """Window that keeps the analytic tail below about a percent of the
-    total for cubic-law path loss."""
-    return max(10.0 * params.delta, 20.0 / math.sqrt(params.lambda_p))
 
 
 def _resolve_guard(params: HardCoreParams, cfg: SimulationConfig) -> float:

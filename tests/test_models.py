@@ -6,10 +6,13 @@ antiderivatives.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.spatial.distance import pdist
 
 from matern_interference.errors import ValidationError
 from matern_interference.models import (
@@ -110,6 +113,45 @@ def test_power_law_evaluation_with_cutoff():
     assert pl(0.1) == pl(0.5) == pytest.approx(8.0, rel=1e-14)
     vals = pl(np.array([0.25, 1.0]))
     assert vals == pytest.approx([8.0, 1.0], rel=1e-14)
+
+
+# below, at and just above the 0.5 cutoff, through the transition annulus,
+# far out, and into underflow
+SCALAR_PATH_GRID = [1e-12, 0.01, 0.25, 0.4999999999999999, 0.5,
+                    0.5000000000000001, 0.7, 1.0, 1.5, 2.0, 3.3, 7.0, 123.456,
+                    1e5, 1e100, 1e300, sys.float_info.max, math.inf]
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("r0", [0.0, 0.5])
+def test_power_law_float_path_matches_numpy_bitwise(alpha, r0):
+    pl = PowerLawPathLoss(alpha=alpha, r0=r0)
+    grid = SCALAR_PATH_GRID + [float(x) for x in
+                               np.random.default_rng(3).uniform(0.0, 10.0, 200)]
+    for r in grid:
+        got = pl(r)
+        assert type(got) is float, r
+        want = np.maximum(r0, r) ** (-alpha)
+        assert got.hex() == float(want).hex(), r
+        via_numpy = pl(np.float64(r))
+        assert isinstance(via_numpy, np.floating), r
+        assert got.hex() == float(via_numpy).hex(), r
+
+
+def test_power_law_inputs_outside_the_float_path_keep_numpy_semantics():
+    pl = PowerLawPathLoss(alpha=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert pl(0.0) == math.inf  # not ZeroDivisionError
+        assert pl(1e-200) == math.inf  # not OverflowError
+        assert pl(-1.0) == math.inf
+    assert math.isnan(pl(math.nan))
+    assert math.isnan(PowerLawPathLoss(alpha=3.0, r0=0.5)(math.nan))
+    assert isinstance(pl(np.float64(2.0)), np.float64)
+    assert isinstance(pl(2), np.float64)
+    vals = pl(np.array([0.5, 2.0]))
+    assert isinstance(vals, np.ndarray)
+    assert vals.tolist() == [8.0, 0.125]
 
 
 def test_power_law_radial_integral_hand_values():
@@ -240,6 +282,20 @@ def test_point_pattern_basics():
     empty = PointPattern(points=np.empty((0, 2)), window_radius=1.0)
     assert len(empty) == 0
     assert empty.min_pair_distance() == math.inf
+    single = PointPattern(points=np.array([[0.5, 0.5]]), window_radius=1.0)
+    assert single.min_pair_distance() == math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 500])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_min_pair_distance_matches_all_pairs_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-3.0, 3.0, size=(n, 2))
+    pat = PointPattern(points=pts, window_radius=5.0)
+    assert pat.min_pair_distance() == float(pdist(pts).min())
+    # a repeated point is at distance zero
+    dup = PointPattern(points=np.vstack([pts, pts[-1]]), window_radius=5.0)
+    assert dup.min_pair_distance() == 0.0
 
 
 def test_point_pattern_validation():

@@ -8,6 +8,7 @@ hand antiderivatives, and the transition-annulus integrals against QUADPACK
 (scipy.integrate.quad), which the package itself no longer imports.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -354,15 +355,45 @@ def test_integrate_matches_quadpack_on_transition_annulus(monkeypatch):
         assert res.value == pytest.approx(want, rel=1e-10), (a, b)
 
 
-def test_cli_quadrature_does_not_import_scipy_integrate():
+_POINT = ["--lambda-p", "2", "--delta", "2", "--alpha", "3"]
+# test id -> CLI argv (None: only import the package)
+_ANALYTIC_RUNS = {
+    "import": None,
+    "eir-matern1-quadrature": ["eir", "--process", "matern1", *_POINT,
+                               "--method", "quadrature"],
+    "eir-matern1-approximation": ["eir", "--process", "matern1", *_POINT,
+                                  "--method", "approximation"],
+    "eir-matern2-quadrature": ["eir", "--process", "matern2", *_POINT,
+                               "--method", "quadrature"],
+    "eir-matern2-upper-bound": ["eir", "--process", "matern2", *_POINT,
+                                "--method", "upper-bound"],
+    "bounds-type1": ["bounds", *_POINT],
+    "bounds-type2": ["bounds", "--alpha", "3", "--type2"],
+    "kfun": ["kfun", "--process", "matern2", "--lambda-p", "2",
+             "--delta", "1"],
+    "vunion": ["vunion", "--delta", "1", "--u", "1.5"],
+    "intensity": ["intensity", "--process", "matern2", "--lambda-p", "2",
+                  "--delta", "1"],
+    "figure1": ["figure1", "--steps", "5"],
+    "interference-quadrature": ["interference", "--process", "matern1",
+                                *_POINT, "--method", "quadrature"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_ANALYTIC_RUNS.values()),
+                         ids=list(_ANALYTIC_RUNS))
+def test_analytic_commands_import_neither_numpy_nor_scipy(argv):
+    """The analytic core runs on the standard library: a bare package
+    import and every analytic command leave numpy and scipy unloaded."""
     script = (
-        "import sys\n"
+        "import json, sys\n"
+        "import matern_interference\n"
         "from matern_interference.cli import main\n"
-        "code = main(['eir', '--process', 'matern1', '--lambda-p', '2',\n"
-        "             '--delta', '2', '--alpha', '3', '--method', 'quadrature'])\n"
-        "print(code, 'scipy.integrate' in sys.modules)\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = 0 if argv is None else main(argv)\n"
+        "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 []"

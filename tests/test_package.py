@@ -1,0 +1,34 @@
+"""The package's public surface: every exported name resolves, including
+the simulator names served lazily by the package ``__getattr__``."""
+
+import pytest
+
+import matern_interference
+from matern_interference import models, simulate
+from matern_interference.models import HardCoreParams, ProcessKind
+
+
+def test_every_exported_name_resolves():
+    for name in matern_interference.__all__:
+        value = getattr(matern_interference, name)
+        if name in simulate.__all__:
+            assert value is getattr(simulate, name), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(matern_interference, "no_such_name")
+    with pytest.raises(ImportError):
+        from matern_interference import no_such_name  # noqa: F401
+
+
+# the criterion-6 parameter sets and their default windows, max(10*delta,
+# 20/sqrt(lambda_p)), as the simulator computed them before the function
+# moved to models
+@pytest.mark.parametrize("lam, delta, window", [
+    (1.0, 1.0, 20.0),
+    (2.0, 0.5, 14.14213562373095),
+    (2.0, 1.0, 14.14213562373095),
+])
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_default_window_radius_lives_in_models(lam, delta, window, kind):
+    assert simulate.default_window_radius is models.default_window_radius
+    assert matern_interference.default_window_radius is models.default_window_radius
+    assert models.default_window_radius(HardCoreParams(lam, delta, kind)) == window
