@@ -76,6 +76,27 @@ def main() -> None:
             / (lam2 * b_tan * d2**2))
     print("linear:", mp.nstr(appr, 17), " dB:", mp.nstr(10 * mp.log10(appr), 17))
 
+    print("== dense type I EIR by quadrature, lambda_p=4, alpha=3 (dB) ==")
+    lam4, alpha3 = mp.mpf(4), mp.mpf(3)
+    for d in (3, 5, 7):
+        d = mp.mpf(d)
+        k1 = lambda r: 2 * pi * r * mp.e**(lam4 * (2 * pi * d**2 - v_union(d, r)))
+        # K' falls from its peak at r = delta over about 1/(lambda_p sqrt(3) delta)
+        inner = mp.quad(lambda r: r**-alpha3 * k1(r),
+                        [d, d + mp.mpf(1) / 64, d + mp.mpf(1) / 8, d + 1, 2 * d])
+        tail = 2 * pi * (2 * d)**(2 - alpha3) / (alpha3 - 2)
+        ratio = (inner / tail + 1) / 2**(alpha3 - 2)
+        print(f"delta={mp.nstr(d, 3)}:", mp.nstr(10 * mp.log10(ratio), 17))
+
+    print("== dense type I transition interference, lambda_p=4, alpha=3 ==")
+    for d in ("7.7", "8", "9"):
+        d = mp.mpf(d)
+        k1 = lambda r: 2 * pi * r * mp.e**(lam4 * (2 * pi * d**2 - v_union(d, r)))
+        inner = mp.quad(lambda r: r**-alpha3 * k1(r),
+                        [d, d + mp.mpf(1) / 64, d + mp.mpf(1) / 8, d + 1, 2 * d])
+        lam_type1 = lam4 * mp.e**(-lam4 * pi * d**2)
+        print(f"delta={mp.nstr(d, 3)}:", mp.nstr(lam_type1 * inner, 17))
+
     print("== type II palm acceptance rate (lambda_p=2, delta=0.5) ==")
     print(mp.nstr((1 - mp.e**(-x)) / x, 17))
 

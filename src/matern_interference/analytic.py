@@ -5,13 +5,20 @@ two-disk union area that drives pair retention, the retention probabilities
 for both thinning rules, the resulting K-functions and their radial
 derivatives, and the closed-form lower bound on K at twice the hard-core
 distance.
+
+Transition integrals (over [delta, r] with r <= 2*delta) are taken in
+s = sqrt(2*delta - r). The union area has a square-root branch point at
+r = 2*delta, V'(r) = 2*sqrt(delta**2 - r**2/4), which an adaptive rule in r
+can only approach by bisection; in s every integrand built from V is
+analytic, and the Gauss-Kronrod rule converges in one to three panels.
+``interference`` integrates its transition annulus the same way.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ValidationError
 from .models import HardCoreParams, ProcessKind, intensity
@@ -160,6 +167,27 @@ def pair_retention_type2(params: HardCoreParams, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _in_s(f, delta: float, end: float, quad: QuadratureConfig):
+    """The integral of ``f`` over [delta, end], end <= 2*delta, rewritten in
+    s = sqrt(2*delta - r).
+
+    With r = 2*delta - s**2 and dr = -2*s ds it is the integral of
+    g(s) = 2*s*f(2*delta - s**2) over [sqrt(2*delta - end), sqrt(delta)].
+    Each breakpoint b of ``quad`` inside (delta, end) becomes
+    sqrt(2*delta - b); the others are dropped. Returns (g, lower, upper,
+    config) for the caller's ``integrate``.
+    """
+    two_delta = 2.0 * delta
+
+    def g(s: float) -> float:
+        return 2.0 * s * f(two_delta - s * s)
+
+    knots = sorted({math.sqrt(two_delta - b)
+                    for b in quad.breakpoints if delta < b < end})
+    cfg = replace(quad, breakpoints=tuple(knots))
+    return g, math.sqrt(two_delta - end), math.sqrt(delta), cfg
+
+
 def k_derivative(params: HardCoreParams, r: float) -> float:
     """Radial derivative K'(r): 2*pi*r times the pair correlation.
 
@@ -192,9 +220,10 @@ def k_function(params: HardCoreParams, r: float,
     """Expected number of further points within distance r of a typical
     point, normalized by intensity.
 
-    The transition interval [delta, 2*delta] is integrated adaptively; the
-    part beyond 2*delta is the exact Poisson increment pi*(r^2 - 4*delta^2).
-    Raises a tolerance error when the quadrature does not converge.
+    The transition interval [delta, min(r, 2*delta)] is integrated
+    adaptively in s = sqrt(2*delta - r); the part beyond 2*delta is the
+    exact Poisson increment pi*(r^2 - 4*delta^2). Raises a tolerance error
+    when the quadrature does not converge.
     """
     if r < 0:
         raise ValidationError("r must be >= 0")
@@ -206,7 +235,9 @@ def k_function(params: HardCoreParams, r: float,
     if r <= delta:
         return 0.0
     inner_end = min(r, 2.0 * delta)
-    result = integrate(lambda u: k_derivative(params, u), delta, inner_end, quad)
+    g, lower, upper, cfg = _in_s(lambda u: k_derivative(params, u),
+                                 delta, inner_end, quad)
+    result = integrate(g, lower, upper, cfg)
     result.require("K-function transition integral")
     total = result.value
     if r > 2.0 * delta:

@@ -496,8 +496,15 @@ _PARAM_KEYS = {
 }
 
 
+# parameters that only the Monte Carlo method of `interference` reads
+_MC_ONLY_KEYS = ("replicates", "seed", "window_radius")
+
+
 def _collect_params(args: argparse.Namespace) -> dict:
-    params = {key: getattr(args, key) for key in _PARAM_KEYS[args.command]}
+    keys = _PARAM_KEYS[args.command]
+    if args.command == "interference" and args.method != "mc":
+        keys = [key for key in keys if key not in _MC_ONLY_KEYS]
+    params = {key: getattr(args, key) for key in keys}
     if params.get("window_radius") is None and "window_radius" in params:
         hc = _params(params["process"], params["lambda_p"], params["delta"])
         params["window_radius"] = default_window_radius(hc)

@@ -7,16 +7,24 @@ the only decibel field is the one carried by EirReport.
 Structure used throughout: for every process kind the pair correlation is
 exactly Poisson beyond twice the hard-core distance, so the mean splits into
 an adaptive-quadrature part on [delta, 2*delta] and a closed-form tail.
+
+The quadrature part uses the identity mean = lambda * integral of
+loss(r) * K'(r) dr. The integral is taken without the factor lambda, which
+for a dense type I process is so small that the quadrature's relative
+tolerance would turn into an absolute one (or lambda underflows to zero),
+and in s = sqrt(2*delta - r), where the integrand is analytic (see
+``analytic``). ``eir`` forms its ratio from these lambda-free integrals.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-from .analytic import AffineVBound, pair_retention_type2, v_union
+from .analytic import C2_LENS, AffineVBound, _in_s, pair_retention_type2, v_union
 from .errors import UnsupportedMethodError, ValidationError
 from .models import (
     HardCoreParams,
@@ -45,6 +53,7 @@ __all__ = [
 ]
 
 _LOG10_E10 = 10.0 / math.log(10.0)  # multiplies a natural log into decibels
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 #: Universal cap on the type II excess interference ratio, valid for every
 #: integrable radial path loss: 12*pi / (8*pi + 3*sqrt(3)) < 5/4.
@@ -100,6 +109,62 @@ def _transition_quad_config(pathloss: PathLossModel, delta: float,
     return quad
 
 
+class _FloatRangeError(ValidationError):
+    """The lambda-free transition integral, or the EIR formed from it,
+    leaves the float range (a type I process with lambda_p*delta^2 > 570)."""
+
+    def __init__(self, params: HardCoreParams):
+        super().__init__(
+            "the transition integral overflows a float at lambda_p*delta^2 = "
+            f"{params.lambda_p * params.delta * params.delta:g}; the type I "
+            "approximation method stays finite in decibels")
+
+
+def _transition_integral(params: HardCoreParams, pathloss: PathLossModel,
+                         quad: QuadratureConfig) -> float:
+    """The lambda-free transition integral: the path loss against K'(r) over
+    [delta, 2*delta), so that the annulus' mean interference is lambda times
+    this value. Requires delta > 0.
+
+    Integrated in s = sqrt(2*delta - r) (see ``analytic``), where the
+    integrand is analytic. Without the factor lambda, which underflows for a
+    dense type I process, the integral is no smaller than that of
+    2*pi*r*loss(r), so the relative tolerance holds unless the path loss
+    itself is tiny across the annulus.
+    """
+    delta = params.delta
+    lam_p = params.lambda_p
+    kind = params.kind
+
+    if kind is ProcessKind.POISSON_HOLE:
+        def integrand(r: float) -> float:
+            return 2.0 * math.pi * float(pathloss(r)) * r
+    elif kind is ProcessKind.MATERN_I:
+        two_disks = 2.0 * math.pi * delta * delta
+        # the exponent of K' peaks at r = delta, lambda_p*delta^2 times
+        # 2*pi/3 - sqrt(3)/2
+        if lam_p * (two_disks - C2_LENS * delta * delta) > _LOG_FLOAT_MAX:
+            raise _FloatRangeError(params)
+
+        def integrand(r: float) -> float:
+            exponent = lam_p * (two_disks - v_union(delta, r))
+            return 2.0 * math.pi * float(pathloss(r)) * r * math.exp(exponent)
+    else:
+        ratio = intensity(params) / lam_p
+        prefactor = 2.0 * math.pi / (ratio * ratio)
+
+        def integrand(r: float) -> float:
+            return prefactor * float(pathloss(r)) * r * pair_retention_type2(params, r)
+
+    g, lower, upper, cfg = _in_s(integrand, delta, 2.0 * delta,
+                                 _transition_quad_config(pathloss, delta, quad))
+    result = integrate(g, lower, upper, cfg)
+    if math.isinf(result.value):
+        raise _FloatRangeError(params)
+    result.require("transition-annulus interference integral")
+    return result.value
+
+
 def mean_interference_inside_2delta(
         params: HardCoreParams,
         pathloss: PathLossModel,
@@ -108,33 +173,26 @@ def mean_interference_inside_2delta(
     delta <= ||x|| < 2*delta, by adaptive quadrature of the exact pair
     correlation. Zero when delta = 0."""
     _check_power_law_cutoff(params, pathloss)
-    delta = params.delta
-    if delta == 0.0:
+    if params.delta == 0.0:
         return 0.0
-    lam_p = params.lambda_p
-    kind = params.kind
+    try:
+        inner = _transition_integral(params, pathloss, quad)
+    except _FloatRangeError:
+        # lambda times the integral is far below the smallest float there
+        return 0.0
+    return _times_intensity(params, inner)
 
-    if kind is ProcessKind.POISSON_HOLE:
-        def integrand(r: float) -> float:
-            return 2.0 * math.pi * lam_p * float(pathloss(r)) * r
-    elif kind is ProcessKind.MATERN_I:
-        area_disk = math.pi * delta * delta
 
-        def integrand(r: float) -> float:
-            # lambda * g * K' with the intensity ratio folded into the
-            # exponent, which is <= 0 on the whole interval
-            exponent = lam_p * (area_disk - v_union(delta, r))
-            return 2.0 * math.pi * lam_p * float(pathloss(r)) * r * math.exp(exponent)
-    else:
-        prefactor = 2.0 * math.pi * lam_p * lam_p / intensity(params)
-
-        def integrand(r: float) -> float:
-            return prefactor * float(pathloss(r)) * r * pair_retention_type2(params, r)
-
-    cfg = _transition_quad_config(pathloss, delta, quad)
-    result = integrate(integrand, delta, 2.0 * delta, cfg)
-    result.require("transition-annulus interference integral")
-    return result.value
+def _times_intensity(params: HardCoreParams, value: float) -> float:
+    """intensity(params) * value. A type I intensity is subnormal or zero
+    (lambda_p*pi*delta^2 > 708) long before that product is, so there the
+    product is formed in the log domain."""
+    lam = intensity(params)
+    if (params.kind is not ProcessKind.MATERN_I or lam >= sys.float_info.min
+            or value == 0.0):
+        return lam * value
+    return math.exp(math.log(params.lambda_p) + math.log(value)
+                    - params.lambda_p * math.pi * params.delta * params.delta)
 
 
 def interference_outside_2delta(params: HardCoreParams,
@@ -287,15 +345,20 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     if params.delta == 0.0:
         mean_hardcore = mean_interference_quadrature(params, pathloss, quad)
         return _report(mean_hardcore, mean_poisson, 1.0, method)
-    inner = mean_interference_inside_2delta(params, pathloss, quad)
-    outer = interference_outside_2delta(params, pathloss)
+    # both means carry the factor lambda, so the ratio is formed from
+    # lambda-free integrals; lambda underflows for a dense type I process
+    inner = _transition_integral(params, pathloss, quad)
+    outer = 2.0 * math.pi * pathloss.radial_integral(2.0 * params.delta, math.inf)
     if isinstance(pathloss, PowerLawPathLoss):
         # the reference mean is the tail integral stretched from 2*delta
         # back to delta, a factor 2^(alpha-2) for a pure power law
         ratio = (inner / outer + 1.0) / 2.0 ** (pathloss.alpha - 2.0)
     else:
-        ratio = (inner + outer) / mean_poisson
-    return _report(inner + outer, mean_poisson, ratio, method)
+        ratio = (inner + outer) / (
+            2.0 * math.pi * pathloss.radial_integral(params.delta, math.inf))
+    if math.isinf(ratio):
+        raise _FloatRangeError(params)
+    return _report(_times_intensity(params, inner + outer), mean_poisson, ratio, method)
 
 
 def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:

@@ -36,6 +36,11 @@ class QuadratureConfig:
     ``breakpoints`` lists radii where an integrand is continuous but not
     smooth (hard-core distance, twice the hard-core distance, path loss table
     knots); the integrator never places a panel across one.
+
+    The target error is ``max(abs_tol, rel_tol * |value|)``: relative only
+    while ``|value| >= abs_tol / rel_tol`` (1e-3 by default), and absolute
+    for smaller integrals. Callers scale their integrands to order one for
+    that reason.
     """
 
     rel_tol: float = 1e-9
@@ -128,7 +133,9 @@ def integrate(f, a: float, b: float,
     |K21 - G10| as its error estimate. The panel with the largest estimate
     is bisected until the summed estimate is at most
     ``max(abs_tol, rel_tol * |value|)`` or ``max_subdivisions`` panels are in
-    use; ``subdivisions_used`` is the final number of panels. An infinite
+    use; ``subdivisions_used`` is the final number of panels. For
+    ``|value| < abs_tol / rel_tol`` that target is the absolute ``abs_tol``,
+    so the relative tolerance no longer holds. An infinite
     upper limit is mapped onto (0, 1] by t = a + (1 - s)/s. The result is
     ``converged`` only when the summed estimate is within ten times that
     tolerance, so a budget that runs out short of it, or an integrand that

@@ -24,7 +24,7 @@ from matern_interference.analytic import (
 )
 from matern_interference.errors import ValidationError
 from matern_interference.models import HardCoreParams, ProcessKind, intensity
-from matern_interference.numerics import integrate
+from matern_interference.numerics import QuadratureConfig, integrate
 
 P21_T1 = HardCoreParams(2.0, 1.0, ProcessKind.MATERN_I)
 P21_T2 = HardCoreParams(2.0, 1.0, ProcessKind.MATERN_II)
@@ -278,6 +278,26 @@ def test_k_function_continuous_and_increasing():
     # continuity across the 2*delta seam
     assert k_function(P21_T2, 2.0 - 1e-9) == pytest.approx(
         k_function(P21_T2, 2.0 + 1e-9), rel=1e-6)
+
+
+@pytest.mark.parametrize("r", [1.2, 1.7, 2.0, 3.0])
+def test_k_function_ignores_breakpoints(r):
+    # the transition integral maps breakpoints inside (delta, r) to
+    # s = sqrt(2*delta - b) and drops the rest (here 0.5, 2.5 and 3.5, and
+    # those past r); a smooth integrand gives the same value either way
+    cfg = QuadratureConfig(breakpoints=(0.5, 1.1, 1.25, 1.5, 1.9, 2.5, 3.5))
+    for params in (P21_T1, P21_T2):
+        assert k_function(params, r, cfg) == pytest.approx(
+            k_function(params, r), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_k_function_scale_invariant(kind):
+    # K(r)/delta^2 depends on lambda_p*delta^2 and r/delta alone
+    base = k_function(HardCoreParams(1.0, 1.0, kind), 2.0)
+    for c in (1e-3, 0.1, 10.0, 100.0, 1e3):
+        scaled = k_function(HardCoreParams(1.0 / (c * c), c, kind), 2.0 * c)
+        assert scaled / (c * c) == pytest.approx(base, rel=1e-12), c
 
 
 def test_k_function_large_r_poisson_fraction():

@@ -134,6 +134,56 @@ def test_interference_quadrature_matches_library(capsys):
     assert float(rows[0]["mean"]) == pytest.approx(want, rel=1e-11)
 
 
+def test_interference_quadrature_manifest_has_no_mc_parameters(tmp_path, capsys):
+    point = ["interference", "--process", "matern1", "--lambda-p", "2",
+             "--delta", "2", "--alpha", "3"]
+    files = []
+    for extra in ([], ["--seed", "5"], ["--replicates", "7", "--seed", "9",
+                                         "--window-radius", "30"]):
+        path = tmp_path / f"quad{len(files)}.csv"
+        code, _, _ = run_cli(capsys, *point, *extra, "--out", str(path))
+        assert code == 0
+        files.append(path.read_bytes())
+    assert files[0] == files[1] == files[2]
+    payload = json.loads(files[0].decode().splitlines()[0][2:])
+    assert payload["seed"] is None
+    assert not {"replicates", "seed", "window_radius"} & set(payload["params"])
+
+
+def test_rerun_accepts_quadrature_manifest_with_mc_parameters(tmp_path, capsys):
+    # files written before the Monte Carlo keys left quadrature manifests
+    old = tmp_path / "old.csv"
+    header = ('# {"command":"interference","params":{"alpha":3.0,"delta":2.0,'
+              '"format":"csv","lambda_p":2.0,"method":"quadrature",'
+              '"process":"matern1","r0":0.0,"replicates":10000,"seed":0,'
+              '"window_radius":20.0},"seed":0,"version":"'
+              f'{__version__}"}}\n')
+    old.write_text(header, encoding="utf-8")
+    again = tmp_path / "again.csv"
+    code, _, _ = run_cli(capsys, "rerun", "--manifest", str(old),
+                         "--out", str(again))
+    assert code == 0
+    text = again.read_text(encoding="utf-8")
+    assert text.startswith(header)
+    params = HardCoreParams(2.0, 2.0, ProcessKind.MATERN_I)
+    want = mean_interference_quadrature(params, PowerLawPathLoss(3.0))
+    assert float(text.splitlines()[2].split(",")[-1]) == pytest.approx(
+        want, rel=1e-11)
+
+
+def test_eir_quadrature_dense_type1(capsys):
+    # lambda underflows at delta = 8; the ratio is formed without it
+    code, out, err = run_cli(capsys, "eir", "--process", "matern1",
+                             "--lambda-p", "4", "--delta", "8", "--alpha", "3")
+    assert code == 0, err
+    assert math.isfinite(float(csv_rows(out)[0][0]["eir_db"]))
+    # past the float range of the pair correlation: invalid input
+    code, _, err = run_cli(capsys, "eir", "--process", "matern1",
+                           "--lambda-p", "4", "--delta", "12.1", "--alpha", "3")
+    assert code == 2
+    assert "overflows" in err
+
+
 def test_interference_mc_row_schema(capsys):
     code, out, _ = run_cli(capsys, "interference", "--process", "matern2",
                            "--lambda-p", "1", "--delta", "1", "--alpha", "3",

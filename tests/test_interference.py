@@ -31,6 +31,7 @@ from matern_interference.models import (
     PowerLawPathLoss,
     ProcessKind,
     TabulatedPathLoss,
+    intensity,
 )
 from matern_interference.numerics import integrate
 
@@ -52,6 +53,14 @@ NU_SHARP_DB = {2.5: 0.29860801472375639,
                3.0: 0.49801174206589835,
                4.0: 0.72712020955068233}
 GROWTH_EXPONENT = 1.1147495817437574
+# quadrature EIR of the dense type I process, lambda_p = 4, alpha = 3, in dB
+EIR_DENSE_T1_A3_DB = {3.0: 173.98961098532681,
+                      5.0: 511.04726804742453,
+                      7.0: 1020.2800346062864}
+# its transition-annulus mean interference, where lambda is subnormal or zero
+INNER_DENSE_T1_A3 = {7.7: 6.9443965564229852e-200,
+                     8.0: 1.3733089893237246e-215,
+                     9.0: 3.0430060729802976e-272}
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +271,81 @@ def test_eir_tabulated_direct_ratio_within_type2_cap():
     direct = (mean_interference_quadrature(T2_21, tab)
               / mean_interference_poisson_hole(T2_21, tab))
     assert report.eir_linear == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("delta", sorted(EIR_DENSE_T1_A3_DB))
+def test_eir_quadrature_dense_type1_frozen(delta):
+    # the annulus integral is formed without lambda, which is at most
+    # 4*exp(-36*pi) = 3e-49 here, so the relative tolerance holds
+    report = eir(HardCoreParams(4.0, delta, ProcessKind.MATERN_I), PL3)
+    assert report.eir_db == pytest.approx(EIR_DENSE_T1_A3_DB[delta], rel=1e-12)
+
+
+def test_eir_quadrature_dense_type1_lambda_underflow():
+    # lambda = 4*exp(-256*pi) underflows to zero, and with it the
+    # reference mean; the ratio does not depend on it, and the hard-core
+    # mean is formed in the log domain
+    params = HardCoreParams(4.0, 8.0, ProcessKind.MATERN_I)
+    assert intensity(params) == 0.0
+    report = eir(params, PL3)
+    assert math.isfinite(report.eir_linear)
+    assert report.eir_db > EIR_DENSE_T1_A3_DB[7.0]
+    assert report.mean_hardcore == pytest.approx(INNER_DENSE_T1_A3[8.0],
+                                                 rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", sorted(INNER_DENSE_T1_A3))
+def test_inside_2delta_dense_type1_frozen(delta):
+    params = HardCoreParams(4.0, delta, ProcessKind.MATERN_I)
+    assert intensity(params) < 1e-308
+    assert mean_interference_inside_2delta(params, PL3) == pytest.approx(
+        INNER_DENSE_T1_A3[delta], rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("lam_p,delta,alpha", [
+    (4.0, 12.1, 3.0),         # exp(lambda_p*(2*pi*delta^2 - V)) overflows
+    (577.5, 1.0, 3.0),        # the exponential does not, the integrand does
+    (577.5e-4, 100.0, 20.0),  # the integral does not, the ratio does
+])
+def test_eir_quadrature_rejects_overflowing_density(lam_p, delta, alpha):
+    # past lambda_p*delta^2 of about 570 the quadrature EIR leaves the float
+    # range; the approximation still reports decibels
+    params = HardCoreParams(lam_p, delta, ProcessKind.MATERN_I)
+    pathloss = PowerLawPathLoss(alpha)
+    with pytest.raises(ValidationError, match="overflows"):
+        eir(params, pathloss)
+    assert math.isfinite(eir(params, pathloss, EirMethod.APPROXIMATION).eir_db)
+
+
+def test_inside_2delta_underflows_with_intensity():
+    # lambda*integral is below 1e-480 here; the lambda-free integral alone
+    # would overflow
+    params = HardCoreParams(4.0, 12.1, ProcessKind.MATERN_I)
+    assert mean_interference_inside_2delta(params, PL3) == 0.0
+    assert mean_interference_quadrature(params, PL3) == 0.0
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_eir_quadrature_scale_invariant(kind):
+    # for a power law the EIR depends on lambda_p*delta^2 alone
+    pathloss = PowerLawPathLoss(4.0)
+    base = eir(HardCoreParams(1.0, 1.0, kind), pathloss).eir_linear
+    for c in (1e-3, 0.1, 10.0, 100.0, 1e3):
+        got = eir(HardCoreParams(1.0 / (c * c), c, kind), pathloss).eir_linear
+        assert got == pytest.approx(base, rel=1e-12), c
+
+
+def test_inside_2delta_tabulated_knots_exact():
+    # with K' = 2*pi*r and a piecewise-linear loss the integrand is a
+    # polynomial in s between the mapped knots, so one Gauss-Kronrod panel
+    # per piece is exact
+    # (delta = 0.9 puts the knots 1, 1.25, 1.5, 1.75 off-centre in the annulus)
+    r = [0.25 * i for i in range(41)]
+    tab = TabulatedPathLoss(r, [(1.0 + rr * rr) ** -1.5 for rr in r])
+    params = HardCoreParams(2.0, 0.9, ProcessKind.POISSON_HOLE)
+    want = 2.0 * math.pi * 2.0 * tab.radial_integral(0.9, 1.8)
+    assert mean_interference_inside_2delta(params, tab) == pytest.approx(
+        want, rel=1e-14)
 
 
 def test_eir_approximation_frozen_value():
