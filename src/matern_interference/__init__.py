@@ -110,15 +110,11 @@ __all__ = [
     "mean_interference_quadrature",
     "pair_retention_type1",
     "pair_retention_type2",
-    "pattern_to_csv",
     "replicate_rng",
     "run_palm_ensemble",
     "sample_palm",
-    "sample_palm_type1",
-    "sample_palm_type2",
     "sample_parent",
-    "thin_type1",
-    "thin_type2",
+    "thin",
     "upper_incomplete_gamma",
     "v_union",
     "__version__",

@@ -207,10 +207,16 @@ def k_derivative(params: HardCoreParams, r: float) -> float:
         return 2.0 * math.pi * r
     lam_p = params.lambda_p
     if kind is ProcessKind.MATERN_I:
-        # (lambda_p/lambda)^2 * k(r) folded into one exponent; the argument
-        # is at most lambda_p*delta^2*(2*pi/3 - sqrt(3)/2), no overflow risk
+        # (lambda_p/lambda)^2 * k(r) folded into one exponent, which peaks
+        # at lambda_p*delta^2*(2*pi/3 - sqrt(3)/2) at r = delta
         exponent = lam_p * (2.0 * math.pi * delta * delta - v_union(delta, r))
-        return 2.0 * math.pi * r * math.exp(exponent)
+        try:
+            value = 2.0 * math.pi * r * math.exp(exponent)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise _float_range_error(params, "the type I K'(r)")
+        return value
     ratio = intensity(params) / lam_p
     return 2.0 * math.pi * r * pair_retention_type2(params, r) / (ratio * ratio)
 
@@ -223,7 +229,8 @@ def k_function(params: HardCoreParams, r: float,
     The transition interval [delta, min(r, 2*delta)] is integrated
     adaptively in s = sqrt(2*delta - r); the part beyond 2*delta is the
     exact Poisson increment pi*(r^2 - 4*delta^2). Raises a tolerance error
-    when the quadrature does not converge.
+    when the quadrature does not converge, and a validation error when a
+    dense type I process takes K past the float range.
     """
     if r < 0:
         raise ValidationError("r must be >= 0")
@@ -238,6 +245,8 @@ def k_function(params: HardCoreParams, r: float,
     g, lower, upper, cfg = _in_s(lambda u: k_derivative(params, u),
                                  delta, inner_end, quad)
     result = integrate(g, lower, upper, cfg)
+    if math.isinf(result.value):
+        raise _float_range_error(params, "the K-function transition integral")
     result.require("K-function transition integral")
     total = result.value
     if r > 2.0 * delta:
@@ -258,4 +267,16 @@ def k2delta_lower_bound(params: HardCoreParams) -> float:
                               "type I process only")
     lam_p, delta = params.lambda_p, params.delta
     exponent = lam_p * delta * delta * (2.0 * math.pi / 3.0 - _SQRT3 / 2.0)
-    return (2.0 * math.pi / (_SQRT3 * lam_p)) * math.expm1(exponent)
+    try:
+        value = (2.0 * math.pi / (_SQRT3 * lam_p)) * math.expm1(exponent)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise _float_range_error(params, "the K(2*delta) lower bound")
+    return value
+
+
+def _float_range_error(params: HardCoreParams, what: str) -> ValidationError:
+    return ValidationError(
+        f"{what} overflows a float at lambda_p*delta^2 = "
+        f"{params.lambda_p * params.delta * params.delta:g}")

@@ -290,8 +290,7 @@ def _run_sample(p: dict):
         replicate_rng,
         sample_palm,
         sample_parent,
-        thin_type1,
-        thin_type2,
+        thin,
     )
 
     params = _params(p["process"], p["lambda_p"], p["delta"])
@@ -303,12 +302,7 @@ def _run_sample(p: dict):
         rng = replicate_rng(p["seed"], 0)
         parent = sample_parent(params.lambda_p, p["window_radius"], rng,
                                with_marks=params.kind is ProcessKind.MATERN_II)
-        if params.kind is ProcessKind.MATERN_I:
-            pattern = thin_type1(parent, params.delta)
-        elif params.kind is ProcessKind.MATERN_II:
-            pattern = thin_type2(parent, params.delta)
-        else:
-            pattern = parent
+        pattern = thin(parent, params)
     else:
         raise ValidationError(f"unknown sample mode {p['mode']!r}")
     rows = [{

@@ -314,7 +314,8 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     Methods: QUADRATURE computes both means (exact up to quadrature
     tolerance; the ratio is exactly 1 for the Poisson reference and at
     delta = 0); UPPER_BOUND is the type II closed-form cap; APPROXIMATION is
-    the type I closed form that is accurate for lambda_p*delta^2 > 4.
+    the paper's type I closed form, which is close to quadrature only near
+    lambda_p*delta^2 = 9 (see eir_type1_approximation).
     """
     kind = params.kind
     if method is EirMethod.UPPER_BOUND:
@@ -367,8 +368,12 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
 
     Grows like exp(lambda_p * delta^2 * TYPE1_GROWTH_EXPONENT); the log of
     the ratio is formed first so the decibel value stays finite even when
-    the linear ratio overflows. Intended for lambda_p*delta^2 > 4, warns
-    below that.
+    the linear ratio overflows. It is not accurate for lambda_p*delta^2 > 4:
+    the exact EIR grows with exponent 2*pi/3 - sqrt(3)/2 = 1.2284, so the
+    approximation falls ever further below it. At alpha = 3, approximation
+    minus quadrature is +2.35 dB at lambda_p*delta^2 = 5, +0.69 dB at 8,
+    -13.47 dB at 36 and -92.5 dB at 196; it is within 1 dB only on about
+    [7.5, 11]. Warns for lambda_p*delta^2 <= 4, where it is worse still.
     """
     if params.kind is not ProcessKind.MATERN_I:
         raise UnsupportedMethodError(
@@ -382,7 +387,8 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     if lam_p * delta * delta <= 4.0:
         warnings.warn(
             "EIR approximation is inaccurate for lambda_p*delta^2 <= 4 "
-            f"(got {lam_p * delta * delta:g})",
+            f"(got {lam_p * delta * delta:g}); it comes closest to the "
+            "exact value near lambda_p*delta^2 = 9",
             stacklevel=2)
     b_lower = math.sqrt(7.0) / 2.0
     log_eir = (math.log(alpha - 2.0)

@@ -1,5 +1,12 @@
 """Exact samplers for the three processes and Palm-conditioned Monte Carlo.
 
+One thinning rule serves every process kind (``thin`` on a windowed parent
+pattern, ``_dead_mask`` underneath), one Palm sampler draws a replicate
+seen from a retained point at the origin (``sample_palm``), and one
+ensemble flattens many replicates (``run_palm_ensemble``); the mean
+interference, intensity and K-function estimators are reductions over that
+ensemble.
+
 Sampling is exact, not approximate: the type I Palm construction uses the
 fact that conditioning a Poisson parent on an empty exclusion ball just
 removes that ball from its domain, and the type II construction uses
@@ -50,11 +57,8 @@ __all__ = [
     "default_window_radius",
     "replicate_rng",
     "sample_parent",
-    "thin_type1",
-    "thin_type2",
+    "thin",
     "reliable_mask",
-    "sample_palm_type1",
-    "sample_palm_type2",
     "sample_palm",
     "PalmEnsemble",
     "run_palm_ensemble",
@@ -64,7 +68,6 @@ __all__ = [
     "KFunctionEstimate",
     "estimate_k_function",
     "estimate_intensity",
-    "pattern_to_csv",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -200,55 +203,47 @@ def _strict_pairs(points: np.ndarray, delta: float,
     return pairs if strict.all() else pairs[strict]
 
 
-def _type1_dead_mask(points: np.ndarray, delta: float,
-                     shifted: Optional[np.ndarray] = None) -> np.ndarray:
-    dead = np.zeros(len(points), dtype=bool)
-    pairs = _strict_pairs(points, delta, shifted)
-    dead[pairs[:, 0]] = True
-    dead[pairs[:, 1]] = True
-    return dead
+def _dead_mask(params: HardCoreParams, points: np.ndarray,
+               marks: Optional[np.ndarray],
+               shifted: Optional[np.ndarray] = None) -> np.ndarray:
+    """True for the parent points that the thinning of params.kind removes.
 
-
-def _type2_dead_mask(points: np.ndarray, marks: np.ndarray, delta: float,
-                     shifted: Optional[np.ndarray] = None) -> np.ndarray:
+    Type I removes both members of every pair strictly closer than delta;
+    type II removes a point iff some such neighbor carries a smaller mark,
+    whether or not that neighbor itself survives; the Poisson hole removes
+    nothing. ``shifted`` is passed on to _strict_pairs.
+    """
     dead = np.zeros(len(points), dtype=bool)
-    pairs = _strict_pairs(points, delta, shifted)
-    if len(pairs):
+    if params.kind is ProcessKind.POISSON_HOLE:
+        return dead
+    pairs = _strict_pairs(points, params.delta, shifted)
+    if params.kind is ProcessKind.MATERN_I:
+        dead[pairs[:, 0]] = True
+        dead[pairs[:, 1]] = True
+    elif len(pairs):
         mi = marks[pairs[:, 0]]
         mj = marks[pairs[:, 1]]
-        # a point dies iff some neighbor below delta carries a smaller mark,
-        # whether or not that neighbor itself survives
         dead[pairs[:, 0][mj < mi]] = True
         dead[pairs[:, 1][mi < mj]] = True
     return dead
 
 
-def thin_type1(parent: PointPattern, delta: float) -> PointPattern:
-    """Remove every point with another parent point strictly closer than
-    delta. Points near the window edge are thinned against the available
-    parents only; callers needing exact retention should restrict attention
-    to points at least delta inside the window (see reliable_mask)."""
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
-    dead = _type1_dead_mask(parent.points, delta)
+def thin(parent: PointPattern, params: HardCoreParams) -> PointPattern:
+    """The process of kind params.kind obtained by thinning a parent
+    pattern at hard-core distance params.delta (see _dead_mask); type II
+    needs distinct marks, and the Poisson hole keeps every point. Points
+    near the window edge are thinned against the available parents only;
+    callers needing exact retention should restrict attention to points at
+    least delta inside the window (see reliable_mask)."""
+    if params.kind is ProcessKind.MATERN_II:
+        if parent.marks is None:
+            raise ValidationError("type II thinning requires marks")
+        if np.unique(parent.marks).size != len(parent):
+            raise ValidationError("type II thinning requires distinct marks")
+    dead = _dead_mask(params, parent.points, parent.marks)
     marks = None if parent.marks is None else parent.marks[~dead]
     return PointPattern(points=parent.points[~dead],
                         window_radius=parent.window_radius, marks=marks)
-
-
-def thin_type2(parent: PointPattern, delta: float) -> PointPattern:
-    """Keep a point unless some parent point strictly closer than delta has
-    a smaller mark. Same edge caveat as thin_type1."""
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
-    if parent.marks is None:
-        raise ValidationError("type II thinning requires marks")
-    if np.unique(parent.marks).size != len(parent):
-        raise ValidationError("type II thinning requires distinct marks")
-    dead = _type2_dead_mask(parent.points, parent.marks, delta)
-    return PointPattern(points=parent.points[~dead],
-                        window_radius=parent.window_radius,
-                        marks=parent.marks[~dead])
 
 
 def reliable_mask(pattern: PointPattern, guard: float) -> np.ndarray:
@@ -321,68 +316,26 @@ def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
     return rsq, theta, marks, origin_mark, attempts
 
 
-def _palm_dead_mask(params: HardCoreParams, points: np.ndarray,
-                    marks: Optional[np.ndarray],
-                    origin_mark: Optional[float]) -> np.ndarray:
-    delta = params.delta
-    if params.kind is ProcessKind.POISSON_HOLE or delta == 0:
-        return np.zeros(len(points), dtype=bool)
-    if params.kind is ProcessKind.MATERN_I:
-        return _type1_dead_mask(points, delta)
-    all_points = np.concatenate((points, [[0.0, 0.0]]))
-    all_marks = np.append(marks, origin_mark)
-    dead = _type2_dead_mask(all_points, all_marks, delta)
-    return dead[:-1]
-
-
-def _require_kind(params: HardCoreParams, kind: ProcessKind, what: str) -> None:
-    if params.kind is not kind:
-        raise ValidationError(f"{what} requires a {kind.value} parameter set")
-
-
-def sample_palm_type1(params: HardCoreParams, cfg: SimulationConfig,
-                      replicate: int = 0) -> PointPattern:
-    """One type I pattern seen from a typical retained point at the origin,
-    origin excluded; exact for all points within the window."""
-    _require_kind(params, ProcessKind.MATERN_I, "sample_palm_type1")
-    _resolve_guard(params, cfg)
-    rng = replicate_rng(cfg.seed, replicate)
-    rsq, theta, _, _, _ = _draw_palm_parent(params, cfg, rng)
-    points = _polar_points(rsq, theta)
-    alive = ~_palm_dead_mask(params, points, None, None)
-    radii = np.hypot(points[:, 0], points[:, 1])
-    keep = alive & (radii <= cfg.window_radius)
-    return PointPattern(points=points[keep], window_radius=cfg.window_radius)
-
-
-def sample_palm_type2(params: HardCoreParams, cfg: SimulationConfig,
-                      replicate: int = 0) -> PointPattern:
-    """Type II analogue of sample_palm_type1; the origin's mark competes in
-    the thinning, and survivor marks are attached to the output."""
-    _require_kind(params, ProcessKind.MATERN_II, "sample_palm_type2")
+def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
+                replicate: int = 0) -> PointPattern:
+    """One pattern of params.kind seen from a typical retained point at the
+    origin, origin excluded; exact for all points within the window. A type
+    II origin's mark competes in the thinning, and type II survivors carry
+    their marks. run_palm_ensemble reproduces this replicate by replicate,
+    bit for bit."""
     _resolve_guard(params, cfg)
     rng = replicate_rng(cfg.seed, replicate)
     rsq, theta, marks, origin_mark, _ = _draw_palm_parent(params, cfg, rng)
     points = _polar_points(rsq, theta)
-    alive = ~_palm_dead_mask(params, points, marks, origin_mark)
+    if marks is None:
+        dead = _dead_mask(params, points, None)
+    else:
+        dead = _dead_mask(params, np.concatenate((points, [[0.0, 0.0]])),
+                          np.append(marks, origin_mark))[:-1]
     radii = np.hypot(points[:, 0], points[:, 1])
-    keep = alive & (radii <= cfg.window_radius)
+    keep = ~dead & (radii <= cfg.window_radius)
     return PointPattern(points=points[keep], window_radius=cfg.window_radius,
-                        marks=marks[keep])
-
-
-def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
-                replicate: int = 0) -> PointPattern:
-    """Palm sample for any process kind."""
-    if params.kind is ProcessKind.MATERN_I:
-        return sample_palm_type1(params, cfg, replicate)
-    if params.kind is ProcessKind.MATERN_II:
-        return sample_palm_type2(params, cfg, replicate)
-    _resolve_guard(params, cfg)
-    rng = replicate_rng(cfg.seed, replicate)
-    rsq, theta, _, _, _ = _draw_palm_parent(params, cfg, rng)
-    return PointPattern(points=_polar_points(rsq, theta),
-                        window_radius=cfg.window_radius)
+                        marks=None if marks is None else marks[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +427,17 @@ def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, chunk_start: int)
     # elementwise, so one call for the chunk gives the per-replicate bits
     points = _polar_points(np.concatenate(rsq_list), np.concatenate(theta_list))
     rep_local = np.repeat(np.arange(chunk), counts)
-    if params.kind is not ProcessKind.POISSON_HOLE and delta > 0:
-        spacing = 2.0 * (r_window + delta) + 2.0 * delta + 1.0
-        shifted = points.copy()
-        shifted[:, 0] += rep_local * spacing
-        if is_type2:
-            origins = np.column_stack(
-                (np.arange(chunk) * spacing, np.zeros(chunk)))
-            marks = np.concatenate(marks_list + [origin_marks])
-            dead = _type2_dead_mask(
-                np.concatenate((points, np.zeros((chunk, 2)))), marks, delta,
-                np.concatenate((shifted, origins)))[:len(points)]
-        else:
-            dead = _type1_dead_mask(points, delta, shifted)
-    else:
-        dead = np.zeros(len(points), dtype=bool)
+    spacing = 2.0 * (r_window + delta) + 2.0 * delta + 1.0
+    shifted = points.copy()
+    shifted[:, 0] += rep_local * spacing
+    competitors, marks = points, None
+    if is_type2:
+        # each replicate's retained origin competes with its mark
+        origins = np.column_stack((np.arange(chunk) * spacing, np.zeros(chunk)))
+        competitors = np.concatenate((points, np.zeros((chunk, 2))))
+        marks = np.concatenate(marks_list + [origin_marks])
+        shifted = np.concatenate((shifted, origins))
+    dead = _dead_mask(params, competitors, marks, shifted)[:len(points)]
 
     radii = np.hypot(points[:, 0], points[:, 1])
     keep = ~dead & (radii <= r_window)
@@ -535,10 +484,12 @@ def interference_estimate_from_ensemble(
 
 
 def intensity_estimate_from_ensemble(
-        ens: PalmEnsemble, params: HardCoreParams) -> tuple[float, float]:
+        ens: PalmEnsemble,
+        params: Optional[HardCoreParams] = None) -> tuple[float, float]:
     """(intensity, standard error) from counts in the annulus between
     2*delta and the window radius, where the expected Palm count is exactly
-    the intensity times the annulus area."""
+    the intensity times the annulus area. The ensemble carries its window
+    and delta, so ``params`` is not needed."""
     r_out, delta = ens.window_radius, ens.delta
     area = math.pi * (r_out * r_out - 4.0 * delta * delta)
     if area <= 0:
@@ -573,43 +524,29 @@ class KFunctionEstimate:
     replicates: int
 
 
-def estimate_k_function(patterns: Sequence[PointPattern],
-                        radii: Sequence[float],
-                        params: HardCoreParams) -> KFunctionEstimate:
+def estimate_k_function(ens: PalmEnsemble,
+                        radii: Sequence[float]) -> KFunctionEstimate:
     """Empirical normalized count of points within each radius, averaged
-    over Palm replicates and divided by the empirical intensity (from the
-    exactly-Poisson annulus beyond 2*delta).
+    over the ensemble's Palm replicates and divided by the empirical
+    intensity (from the exactly-Poisson annulus beyond 2*delta, see
+    intensity_estimate_from_ensemble).
 
     Standard errors cover the count average only; the intensity estimate's
     own error is an order of magnitude smaller in the intended regimes.
     """
-    if len(patterns) == 0:
-        raise ValidationError("need at least one Palm pattern")
-    r_window = patterns[0].window_radius
-    if any(p.window_radius != r_window for p in patterns):
-        raise ValidationError("all patterns must share one window radius")
     r_grid = np.asarray(radii, dtype=float)
     if r_grid.ndim != 1 or r_grid.size == 0 or np.any(r_grid < 0):
         raise ValidationError("radii must be a nonempty 1-d grid of r >= 0")
-    if np.any(r_grid > r_window):
+    if np.any(r_grid > ens.window_radius):
         raise ValidationError("radii beyond the window would be truncated")
-    delta = params.delta
-    annulus_area = math.pi * (r_window * r_window - 4.0 * delta * delta)
-    if annulus_area <= 0:
-        raise ValidationError("window too small for the intensity annulus")
-
-    n = len(patterns)
-    counts = np.empty((n, r_grid.size))
-    annulus_counts = np.empty(n)
-    for i, pattern in enumerate(patterns):
-        pt_radii = np.sort(pattern.radii)
-        counts[i] = np.searchsorted(pt_radii, r_grid, side="right")
-        annulus_counts[i] = pt_radii.size - np.searchsorted(
-            pt_radii, 2.0 * delta, side="right")
-
-    lam_hat = float(np.mean(annulus_counts)) / annulus_area
+    lam_hat, _ = intensity_estimate_from_ensemble(ens)
     if lam_hat <= 0:
         raise ValidationError("no points beyond 2*delta; cannot normalize")
+
+    n = ens.replicates
+    counts = np.empty((n, r_grid.size))
+    for j, r in enumerate(r_grid):
+        counts[:, j] = np.bincount(ens.rep_ids[ens.radii <= r], minlength=n)
     k_values = np.mean(counts, axis=0) / lam_hat
     if n > 1:
         std_errors = np.std(counts, axis=0, ddof=1) / math.sqrt(n) / lam_hat
@@ -637,30 +574,9 @@ def estimate_intensity(params: HardCoreParams,
         rng = replicate_rng(cfg.seed, k)
         parent = sample_parent(params.lambda_p, r_window, rng,
                                with_marks=needs_marks)
-        if params.kind is ProcessKind.MATERN_I:
-            thinned = thin_type1(parent, params.delta)
-        elif params.kind is ProcessKind.MATERN_II:
-            thinned = thin_type2(parent, params.delta)
-        else:
-            thinned = parent
+        thinned = thin(parent, params)
         values[k] = np.count_nonzero(reliable_mask(thinned, guard)) / core_area
     mean = float(np.mean(values))
     std_error = (float(np.std(values, ddof=1) / math.sqrt(cfg.replicates))
                  if cfg.replicates > 1 else 0.0)
     return mean, std_error
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def pattern_to_csv(pattern: PointPattern) -> str:
-    """CSV export with header ``x,y,mark``; the mark field is left empty for
-    unmarked patterns. Locale-independent formatting, 12 significant digits."""
-    lines = ["x,y,mark"]
-    marks = pattern.marks
-    for i, (x, y) in enumerate(pattern.points):
-        mark = "" if marks is None else f"{marks[i]:.12g}"
-        lines.append(f"{x:.12g},{y:.12g},{mark}")
-    return "\n".join(lines) + "\n"

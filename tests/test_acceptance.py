@@ -40,7 +40,6 @@ from matern_interference.simulate import (
     intensity_estimate_from_ensemble,
     interference_estimate_from_ensemble,
     run_palm_ensemble,
-    sample_palm,
 )
 
 GRID_LAMBDA = [0.5, 1.0, 2.0, 4.0]
@@ -194,10 +193,9 @@ def test_criterion_7_empirical_k_function():
     K-function within three standard errors on [1, 4]; K vanishes exactly
     below the hard-core distance; far out the process counts like Poisson."""
     params = HardCoreParams(2.0, 1.0, ProcessKind.MATERN_I)
-    cfg = SimulationConfig(window_radius=5.0, seed=0)
-    patterns = [sample_palm(params, cfg, replicate=k) for k in range(10_000)]
+    cfg = SimulationConfig(window_radius=5.0, replicates=10_000, seed=0)
     grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
-    est = estimate_k_function(patterns, grid, params)
+    est = estimate_k_function(run_palm_ensemble(params, cfg), grid)
     for r, k_hat, se in zip(est.radii, est.k_values, est.std_errors):
         want = k_function(params, r)
         if r <= 1.0:

@@ -322,6 +322,18 @@ def test_k2delta_lower_bound():
     assert small == pytest.approx(0.0, abs=1e-12)
 
 
+def test_dense_type1_k_leaves_float_range_as_validation_error():
+    dense = HardCoreParams(600.0, 1.0, ProcessKind.MATERN_I)
+    with pytest.raises(ValidationError, match="overflows a float"):
+        k2delta_lower_bound(dense)
+    with pytest.raises(ValidationError, match="overflows a float"):
+        k_derivative(dense, 1.0)
+    with pytest.raises(ValidationError, match="overflows a float"):
+        k_function(dense, 1.5)
+    # far enough from contact the exponent is back inside the float range
+    assert math.isfinite(k_derivative(dense, 1.9))
+
+
 @pytest.mark.parametrize("lam,delta", [(0.5, 0.5), (1.0, 1.0), (2.0, 1.0),
                                        (2.0, 2.0), (4.0, 0.25)])
 def test_k2delta_bound_below_quadrature_value(lam, delta):

@@ -1,6 +1,7 @@
 """Command-line surface: manifest headers, row schemas, exit codes, and
 byte-for-byte reproduction through the rerun subcommand."""
 
+import hashlib
 import json
 import math
 
@@ -234,6 +235,16 @@ def test_kfun_delta_zero_needs_explicit_scale(capsys):
     assert [float(r["r"]) for r in rows] == [0.0, 1.0, 2.0]
 
 
+def test_kfun_dense_type1_exits_2(capsys):
+    # K'(r) peaks at exp(600*(2*pi/3 - sqrt(3)/2)), past the float range
+    code, out, err = run_cli(capsys, "kfun", "--process", "matern1",
+                             "--lambda-p", "600", "--delta", "1", "--r", "1.5")
+    assert code == 2
+    assert out == ""
+    assert "overflows a float" in err
+    assert "Traceback" not in err
+
+
 def test_sample_palm_csv_schema(capsys):
     code, out, _ = run_cli(capsys, "sample", "--process", "matern2",
                            "--lambda-p", "1.5", "--delta", "0.8",
@@ -269,6 +280,38 @@ def test_sample_window_mode_respects_hard_core(capsys):
     closest = min(math.dist(a, b) for i, a in enumerate(pts)
                   for b in pts[i + 1:])
     assert closest >= 0.5
+
+
+# sha256 of the full stdout, manifest line included, of `sample` at
+# lambda_p = 1.5, delta = 0.8, window radius 6 and seed 3. They pin the
+# Palm sampler's coordinates and marks and the window-mode thinning, which
+# the ensemble digests in test_simulate do not see. Recorded with NumPy 2.4
+# on x86-64.
+SAMPLE_DIGESTS = {
+    ("matern1", "palm"):
+        "02f1299bc2cc5532926fae7dfa19d4778ba906d76ee783e6cc91a7145a1592d2",
+    ("matern1", "window"):
+        "73aeb16969eed689536449541b504711f62ba6120a0f87f86e7a31d1d78c9b72",
+    ("matern2", "palm"):
+        "d88dc83fd656f111d594459302404b730c722f9a5c94dab0d2d120004d871f62",
+    ("matern2", "window"):
+        "a6efa43e4ed584b002690eca11f33cc722d689f21040946fc80536d0c2b003bd",
+    ("poisson", "palm"):
+        "f9c398b8e995a488841de10b84b2c5f11406578f84dc054150a57375661f6b34",
+    ("poisson", "window"):
+        "403a2134f70164b95f8eaa689cb8ab3fff047fd77b15699df6f696286ab698e0",
+}
+
+
+@pytest.mark.parametrize("process, mode", list(SAMPLE_DIGESTS))
+def test_sample_output_golden(process, mode, capsys):
+    code, out, err = run_cli(capsys, "sample", "--process", process,
+                             "--mode", mode, "--lambda-p", "1.5",
+                             "--delta", "0.8", "--window-radius", "6",
+                             "--seed", "3")
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[process, mode]
 
 
 def test_figure1_rows(capsys):

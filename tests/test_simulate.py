@@ -33,14 +33,12 @@ from matern_interference.simulate import (
     estimate_mean_interference,
     intensity_estimate_from_ensemble,
     interference_estimate_from_ensemble,
-    pattern_to_csv,
     reliable_mask,
     replicate_rng,
     run_palm_ensemble,
     sample_palm,
     sample_parent,
-    thin_type1,
-    thin_type2,
+    thin,
 )
 
 
@@ -50,24 +48,32 @@ def pattern(points, marks=None, window=10.0):
                         marks=None if marks is None else np.asarray(marks))
 
 
+def type1(delta):
+    return HardCoreParams(1.0, delta, ProcessKind.MATERN_I)
+
+
+def type2(delta):
+    return HardCoreParams(1.0, delta, ProcessKind.MATERN_II)
+
+
 # ---------------------------------------------------------------------------
 # Thinning semantics
 # ---------------------------------------------------------------------------
 
 
 def test_thin_type1_removes_both_members_of_a_close_pair():
-    out = thin_type1(pattern([[0.0, 0.0], [0.5, 0.0]]), 1.0)
+    out = thin(pattern([[0.0, 0.0], [0.5, 0.0]]), type1(1.0))
     assert len(out) == 0
 
 
 def test_thin_keeps_pairs_at_exactly_delta():
     pts = [[0.0, 0.0], [1.0, 0.0]]
-    assert len(thin_type1(pattern(pts), 1.0)) == 2
-    assert len(thin_type2(pattern(pts, marks=[0.3, 0.6]), 1.0)) == 2
+    assert len(thin(pattern(pts), type1(1.0))) == 2
+    assert len(thin(pattern(pts, marks=[0.3, 0.6]), type2(1.0))) == 2
 
 
 def test_thin_type2_keeps_smaller_mark():
-    out = thin_type2(pattern([[0.0, 0.0], [0.5, 0.0]], marks=[0.2, 0.7]), 1.0)
+    out = thin(pattern([[0.0, 0.0], [0.5, 0.0]], marks=[0.2, 0.7]), type2(1.0))
     assert len(out) == 1
     assert out.points[0, 0] == 0.0
     assert out.marks[0] == 0.2
@@ -77,41 +83,36 @@ def test_thin_type2_chain_dead_points_still_kill():
     # B dies to A, yet C still dies to B: the contest uses parent points,
     # not survivors
     pts = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
-    out = thin_type2(pattern(pts, marks=[0.1, 0.2, 0.3]), 1.0)
+    out = thin(pattern(pts, marks=[0.1, 0.2, 0.3]), type2(1.0))
     assert out.points.tolist() == [[0.0, 0.0]]
     # with the smallest mark in the middle only the middle point survives
-    out = thin_type2(pattern(pts, marks=[0.3, 0.1, 0.2]), 1.0)
+    out = thin(pattern(pts, marks=[0.3, 0.1, 0.2]), type2(1.0))
     assert out.points.tolist() == [[0.9, 0.0]]
 
 
 def test_thin_type1_chain_removes_all():
     pts = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
-    assert len(thin_type1(pattern(pts), 1.0)) == 0
+    assert len(thin(pattern(pts), type1(1.0))) == 0
 
 
 def test_thin_delta_zero_keeps_everything():
     pts = [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]
-    assert len(thin_type1(pattern(pts), 0.0)) == 3
-    assert len(thin_type2(pattern(pts, marks=[0.1, 0.2, 0.3]), 0.0)) == 3
+    assert len(thin(pattern(pts), type1(0.0))) == 3
+    assert len(thin(pattern(pts, marks=[0.1, 0.2, 0.3]), type2(0.0))) == 3
 
 
 def test_thin_type2_requires_distinct_marks():
     with pytest.raises(ValidationError):
-        thin_type2(pattern([[0.0, 0.0], [0.5, 0.0]], marks=[0.3, 0.3]), 1.0)
+        thin(pattern([[0.0, 0.0], [0.5, 0.0]], marks=[0.3, 0.3]), type2(1.0))
     with pytest.raises(ValidationError):
-        thin_type2(pattern([[0.0, 0.0], [0.5, 0.0]]), 1.0)  # no marks
-
-
-def test_thin_rejects_negative_delta():
-    with pytest.raises(ValidationError):
-        thin_type1(pattern([[0.0, 0.0]]), -1.0)
+        thin(pattern([[0.0, 0.0], [0.5, 0.0]]), type2(1.0))  # no marks
 
 
 def test_type1_survivors_are_a_subset_of_type2_survivors():
     rng = replicate_rng(42, 0)
     parent = sample_parent(2.0, 8.0, rng, with_marks=True)
-    t1 = thin_type1(parent, 0.7)
-    t2 = thin_type2(parent, 0.7)
+    t1 = thin(parent, type1(0.7))
+    t2 = thin(parent, type2(0.7))
     assert len(t1) <= len(t2) <= len(parent)
     t2_rows = {(x, y) for x, y in t2.points}
     assert all((x, y) in t2_rows for x, y in t1.points)
@@ -225,15 +226,6 @@ def test_sample_palm_respects_hard_core_and_origin(kind):
         # the origin holds a retained point, so nothing lives within delta
         assert float(np.min(pat.radii)) >= 0.5
         assert pat.min_pair_distance() >= 0.5
-
-
-def test_sample_palm_kind_dispatch_rejects_mismatch():
-    from matern_interference.simulate import sample_palm_type1, sample_palm_type2
-    cfg = SimulationConfig(window_radius=6.0)
-    with pytest.raises(ValidationError):
-        sample_palm_type1(HardCoreParams(1.0, 0.5, ProcessKind.MATERN_II), cfg)
-    with pytest.raises(ValidationError):
-        sample_palm_type2(HardCoreParams(1.0, 0.5, ProcessKind.MATERN_I), cfg)
 
 
 # the first and last replicate of a 600-replicate ensemble, and those on
@@ -503,10 +495,9 @@ def test_interference_estimate_reuses_ensemble():
 
 def test_k_function_estimate_on_poisson_hole():
     params = HardCoreParams(2.0, 1.0, ProcessKind.POISSON_HOLE)
-    cfg = SimulationConfig(window_radius=10.0, seed=9)
-    patterns = [sample_palm(params, cfg, replicate=k) for k in range(60)]
+    cfg = SimulationConfig(window_radius=10.0, replicates=60, seed=9)
     grid = [1.5, 2.0, 3.0, 5.0]
-    est = estimate_k_function(patterns, grid, params)
+    est = estimate_k_function(run_palm_ensemble(params, cfg), grid)
     assert est.replicates == 60
     assert abs(est.intensity_estimate - 2.0) / 2.0 < 0.05
     for r, k_hat, se in zip(est.radii, est.k_values, est.std_errors):
@@ -517,29 +508,7 @@ def test_k_function_estimate_on_poisson_hole():
 
 def test_k_function_estimate_validation():
     params = HardCoreParams(2.0, 1.0, ProcessKind.POISSON_HOLE)
+    ens = run_palm_ensemble(params, SimulationConfig(window_radius=10.0,
+                                                     replicates=2))
     with pytest.raises(ValidationError):
-        estimate_k_function([], [1.0], params)
-    a = pattern([[1.5, 0.0]], window=10.0)
-    b = pattern([[1.5, 0.0]], window=8.0)
-    with pytest.raises(ValidationError):
-        estimate_k_function([a, b], [1.0], params)
-    with pytest.raises(ValidationError):
-        estimate_k_function([a], [11.0], params)
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def test_pattern_to_csv_golden():
-    marked = pattern([[1.5, -2.25], [0.125, 3.0]], marks=[0.5, 0.0625],
-                     window=5.0)
-    assert pattern_to_csv(marked) == (
-        "x,y,mark\n"
-        "1.5,-2.25,0.5\n"
-        "0.125,3,0.0625\n")
-    plain = pattern([[1.5, -2.25]], window=5.0)
-    assert pattern_to_csv(plain) == "x,y,mark\n1.5,-2.25,\n"
-    empty = PointPattern(points=np.empty((0, 2)), window_radius=5.0)
-    assert pattern_to_csv(empty) == "x,y,mark\n"
+        estimate_k_function(ens, [11.0])
