@@ -19,12 +19,10 @@ import warnings
 
 from matern_interference.analytic import affine_v_bounds
 from matern_interference.interference import (
-    EirMethod,
     eir,
     eir_type2_bound,
-    h_bound,
-    interference_outside_2delta,
     eir_type1_approximation,
+    h_bound_over_tail,
 )
 from matern_interference.models import HardCoreParams, PowerLawPathLoss, ProcessKind
 
@@ -43,10 +41,9 @@ def sweep_row(lambda_p: float, delta: float, alpha: float) -> dict:
     params1 = HardCoreParams(lambda_p, delta, ProcessKind.MATERN_I)
     params2 = HardCoreParams(lambda_p, delta, ProcessKind.MATERN_II)
     lower_on_v, upper_on_v = affine_v_bounds()
-    outside = interference_outside_2delta(params1, pathloss)
     scale = 2.0 ** (alpha - 2.0)
-    eir_low = (h_bound(params1, pathloss, upper_on_v) / outside + 1.0) / scale
-    eir_high = (h_bound(params1, pathloss, lower_on_v) / outside + 1.0) / scale
+    eir_low = (h_bound_over_tail(params1, pathloss, upper_on_v) + 1.0) / scale
+    eir_high = (h_bound_over_tail(params1, pathloss, lower_on_v) + 1.0) / scale
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the approximation warns when sparse
         approx = eir_type1_approximation(params1, alpha)

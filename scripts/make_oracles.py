@@ -97,6 +97,30 @@ def main() -> None:
         lam_type1 = lam4 * mp.e**(-lam4 * pi * d**2)
         print(f"delta={mp.nstr(d, 3)}:", mp.nstr(lam_type1 * inner, 17))
 
+    print("== dense type I affine-bound EIR, delta=8, alpha=3 ==")
+    # h_bound / interference_outside_2delta without lambda: the closed-form
+    # transition integral through the incomplete gamma of order 2 - alpha
+    d8 = mp.mpf(8)
+
+    def bound_ratio(lam, a, b, d):
+        v = lam * b * d
+        inner = v**(alpha3 - 2) * mp.gammainc(2 - alpha3, a=v * d, b=2 * v * d)
+        tail = (2 * d)**(2 - alpha3) / (alpha3 - 2)
+        return mp.e**(lam * d**2 * (pi - a)) * inner / tail
+
+    for lam in ("3.7", "3.8"):
+        lam = mp.mpf(lam)
+        for name, a, b in (("lower", a_tan, b_tan), ("upper", a_cho, b_cho)):
+            e = (bound_ratio(lam, a, b, d8) + 1) / 2**(alpha3 - 2)
+            print(f"lambda_p={mp.nstr(lam, 3)} {name}:", mp.nstr(e, 17),
+                  " dB:", mp.nstr(10 * mp.log10(e), 17))
+
+    print("== dense type I figure1 means over lambda, lambda_p=4, delta=9, alpha=3 ==")
+    d9 = mp.mpf(9)
+    beyond = 2 * pi * (2 * d9)**(2 - alpha3) / (alpha3 - 2)
+    for name, a, b in (("lower", a_tan, b_tan), ("upper", a_cho, b_cho)):
+        print(f"matern1_{name}:", mp.nstr((bound_ratio(lam4, a, b, d9) + 1) * beyond, 17))
+
     print("== type II palm acceptance rate (lambda_p=2, delta=0.5) ==")
     print(mp.nstr((1 - mp.e**(-x)) / x, 17))
 

@@ -39,6 +39,7 @@ from .interference import (
     eir_type1_approximation,
     eir_type2_bound,
     h_bound,
+    h_bound_over_tail,
     h_integral,
     interference_outside_2delta,
     mean_interference_inside_2delta,
@@ -96,6 +97,7 @@ __all__ = [
     "estimate_k_function",
     "estimate_mean_interference",
     "h_bound",
+    "h_bound_over_tail",
     "h_integral",
     "integrate",
     "intensity",

@@ -11,7 +11,13 @@ s = sqrt(2*delta - r). The union area has a square-root branch point at
 r = 2*delta, V'(r) = 2*sqrt(delta**2 - r**2/4), which an adaptive rule in r
 can only approach by bisection; in s every integrand built from V is
 analytic, and the Gauss-Kronrod rule converges in one to three panels.
-``interference`` integrates its transition annulus the same way.
+
+Every transition integral has one integrand, built by ``_k_prime(params,
+loss=None)``: K'(r), times the path loss when one is given. ``k_function``
+integrates it bare and ``interference`` against the path loss. The factory
+computes the per-parameter constants once and the closure evaluates a node
+in one frame; the pointwise ``v_union``, ``pair_retention_type2`` and
+``k_derivative`` are the public references it equals bit for bit.
 """
 
 from __future__ import annotations
@@ -188,37 +194,138 @@ def _in_s(f, delta: float, end: float, quad: QuadratureConfig):
     return g, math.sqrt(two_delta - end), math.sqrt(delta), cfg
 
 
+def _k_prime(params: HardCoreParams, loss=None):
+    """The integrand of every transition integral, as one closure of r: K'(r),
+    times ``loss(r)`` when a path loss is given. Requires delta > 0.
+
+    Every per-parameter constant is computed here once, and the closure
+    evaluates a node in a single frame: the union area (``v_union``) and the
+    type II retention (``pair_retention_type2``) are written inline with
+    their operations in their order, so each value equals that of the
+    pointwise references bit for bit. Without a loss the closure is
+    ``k_derivative`` on r >= 0: 0 below delta, 2*pi*r from 2*delta on, and
+    a ValidationError past the float range. With a loss it is the lambda-free
+    interference integrand of ``interference``, which has no guard below
+    delta and leaves an infinite value to its caller.
+    """
+    delta = params.delta
+    lam_p = params.lambda_p
+    kind = params.kind
+    acos, sqrt, exp, expm1 = math.acos, math.sqrt, math.exp, math.expm1
+    two_pi = 2.0 * math.pi
+    two_delta = 2.0 * delta
+    # v_union's constants. Below 2*delta its arccos argument is below 1 and
+    # the squared lens height is >= 0 after rounding, so its clamps are
+    # no-ops there and are left out.
+    d2 = delta * delta
+    disk_pair = two_pi * d2
+    two_d2 = 2.0 * d2
+
+    if kind is ProcessKind.POISSON_HOLE:
+        if loss is None:
+            return lambda r: two_pi * r if r >= delta else 0.0
+        return lambda r: two_pi * float(loss(r)) * r
+
+    if kind is ProcessKind.MATERN_I:
+        # (lambda_p/lambda)^2 * k(r) folded into one exponent, which peaks
+        # at lambda_p*delta^2*(2*pi/3 - sqrt(3)/2) at r = delta. Grouped
+        # ((2*pi)*delta)*delta as before; it can differ from disk_pair in
+        # the last bit.
+        two_disks = two_pi * delta * delta
+        if loss is not None:
+            def integrand(r: float) -> float:
+                if r >= two_delta:
+                    v = disk_pair
+                else:
+                    v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
+                return two_pi * float(loss(r)) * r * exp(lam_p * (two_disks - v))
+            return integrand
+
+        inf = math.inf
+
+        def k_prime(r: float) -> float:
+            if r < delta:
+                return 0.0
+            if r >= two_delta:
+                return two_pi * r
+            v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
+            try:
+                value = two_pi * r * exp(lam_p * (two_disks - v))
+            except OverflowError:
+                value = inf
+            if value == inf:
+                raise _float_range_error(params, "the type I K'(r)")
+            return value
+        return k_prime
+
+    # type II: pair_retention_type2's constants, and (lambda/lambda_p)^2
+    area_disk = math.pi * delta * delta
+    x = lam_p * area_disk
+    retain_x = -expm1(-x)
+    single = retain_x / x if x > 0.0 else 1.0
+    far_field = single * single
+    two_area = 2.0 * area_disk
+    den_scale = lam_p * lam_p * area_disk
+    ratio = intensity(params) / lam_p
+    ratio_sq = ratio * ratio
+    if loss is not None:
+        prefactor = two_pi / ratio_sq
+
+        def integrand(r: float) -> float:
+            if r >= two_delta:
+                p = far_field
+            else:
+                v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
+                y = lam_p * v
+                if y < 1e-4:
+                    p = (1.0
+                         - (x + y) / 3.0
+                         + (x * x + x * y + y * y) / 12.0
+                         - (x ** 3 + x * x * y + x * y * y + y ** 3) / 60.0)
+                else:
+                    p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
+                         / (den_scale * v * (v - area_disk)))
+            return prefactor * float(loss(r)) * r * p
+        return integrand
+
+    def k_prime(r: float) -> float:
+        if r < delta:
+            return 0.0
+        if r >= two_delta:
+            return two_pi * r
+        v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
+        y = lam_p * v
+        if y < 1e-4:
+            p = (1.0
+                 - (x + y) / 3.0
+                 + (x * x + x * y + y * y) / 12.0
+                 - (x ** 3 + x * x * y + x * y * y + y ** 3) / 60.0)
+        else:
+            p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
+                 / (den_scale * v * (v - area_disk)))
+        return two_pi * r * p / ratio_sq
+    return k_prime
+
+
 def k_derivative(params: HardCoreParams, r: float) -> float:
     """Radial derivative K'(r): 2*pi*r times the pair correlation.
 
     Beyond twice the hard-core distance each process has exactly Poisson
     second-order structure, so K'(r) = 2*pi*r there; the hard core forces
-    K'(r) = 0 below delta.
+    K'(r) = 0 below delta. On the transition interval the value is that of
+    the transition-integral kernel ``_k_prime``; a dense type I process
+    past the float range raises a validation error.
     """
     if r < 0:
         raise ValidationError("r must be >= 0")
     delta = params.delta
-    kind = params.kind
-    if kind is ProcessKind.POISSON_HOLE:
+    if params.kind is ProcessKind.POISSON_HOLE:
         return 2.0 * math.pi * r if r >= delta else 0.0
     if r < delta:
         return 0.0
     if r >= 2.0 * delta:
         return 2.0 * math.pi * r
-    lam_p = params.lambda_p
-    if kind is ProcessKind.MATERN_I:
-        # (lambda_p/lambda)^2 * k(r) folded into one exponent, which peaks
-        # at lambda_p*delta^2*(2*pi/3 - sqrt(3)/2) at r = delta
-        exponent = lam_p * (2.0 * math.pi * delta * delta - v_union(delta, r))
-        try:
-            value = 2.0 * math.pi * r * math.exp(exponent)
-        except OverflowError:
-            value = math.inf
-        if math.isinf(value):
-            raise _float_range_error(params, "the type I K'(r)")
-        return value
-    ratio = intensity(params) / lam_p
-    return 2.0 * math.pi * r * pair_retention_type2(params, r) / (ratio * ratio)
+    return _k_prime(params)(r)
 
 
 def k_function(params: HardCoreParams, r: float,
@@ -242,8 +349,7 @@ def k_function(params: HardCoreParams, r: float,
     if r <= delta:
         return 0.0
     inner_end = min(r, 2.0 * delta)
-    g, lower, upper, cfg = _in_s(lambda u: k_derivative(params, u),
-                                 delta, inner_end, quad)
+    g, lower, upper, cfg = _in_s(_k_prime(params), delta, inner_end, quad)
     result = integrate(g, lower, upper, cfg)
     if math.isinf(result.value):
         raise _float_range_error(params, "the K-function transition integral")

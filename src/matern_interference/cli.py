@@ -34,6 +34,7 @@ from .interference import (
     eir_type1_approximation,
     eir_type2_bound,
     h_bound,
+    h_bound_over_tail,
     interference_outside_2delta,
     mean_interference_quadrature,
     NU_TYPE2_UNIVERSAL,
@@ -266,9 +267,11 @@ def _run_bounds(p: dict):
     h_low = h_bound(params, pathloss, upper_on_v)   # upper line on V -> lower bound
     h_high = h_bound(params, pathloss, lower_on_v)  # chord on V -> upper bound
     outside = interference_outside_2delta(params, pathloss)
+    # the ratios to the tail are formed without lambda, which underflows
+    # for a dense process while the ratios stay finite
     scale = 2.0 ** (pathloss.alpha - 2.0)
-    eir_low = (h_low / outside + 1.0) / scale
-    eir_high = (h_high / outside + 1.0) / scale
+    eir_low = (h_bound_over_tail(params, pathloss, upper_on_v) + 1.0) / scale
+    eir_high = (h_bound_over_tail(params, pathloss, lower_on_v) + 1.0) / scale
     approx = eir_type1_approximation(params, pathloss.alpha)
     rows = [
         {"quantity": "transition_interference_lower", "value": h_low},
@@ -326,14 +329,17 @@ def _run_figure1(p: dict):
         delta = lo + (hi - lo) * i / max(steps - 1, 1)
         params1 = HardCoreParams(lam_p, delta, ProcessKind.MATERN_I)
         poisson_norm = 2.0 * math.pi * pathloss.radial_integral(delta, math.inf)
-        outside = interference_outside_2delta(params1, pathloss)
-        lam1 = intensity(params1)
+        # the type I means over lambda: the tail's, times one plus the
+        # lambda-free ratio of the transition bound to the tail
+        beyond = 2.0 * math.pi * pathloss.radial_integral(2.0 * delta, math.inf)
         rows.append({
             "delta": delta,
             "poisson_hole": poisson_norm,
             "matern2_upper_bound": type2_cap * poisson_norm,
-            "matern1_lower": (h_bound(params1, pathloss, upper_on_v) + outside) / lam1,
-            "matern1_upper": (h_bound(params1, pathloss, lower_on_v) + outside) / lam1,
+            "matern1_lower":
+                (h_bound_over_tail(params1, pathloss, upper_on_v) + 1.0) * beyond,
+            "matern1_upper":
+                (h_bound_over_tail(params1, pathloss, lower_on_v) + 1.0) * beyond,
         })
     return rows, ["delta", "poisson_hole", "matern2_upper_bound",
                   "matern1_lower", "matern1_upper"]

@@ -14,6 +14,10 @@ for a dense type I process is so small that the quadrature's relative
 tolerance would turn into an absolute one (or lambda underflows to zero),
 and in s = sqrt(2*delta - r), where the integrand is analytic (see
 ``analytic``). ``eir`` forms its ratio from these lambda-free integrals.
+The integrand is ``analytic._k_prime(params, pathloss)``, the one K'
+kernel of the package; this module holds no pair-correlation formula.
+The ratios of the affine bounds to the tail are likewise formed without
+lambda (``h_bound_over_tail``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,12 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .analytic import C2_LENS, AffineVBound, _in_s, pair_retention_type2, v_union
+from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime
+# No integrand here calls these two any more. The benchmark's tracer
+# (perfbench/tracer.py) still counts calls to interference.v_union and
+# interference.pair_retention_type2, so they stay importable from here
+# until that count comes from a diagnostics record.
+from .analytic import pair_retention_type2, v_union  # noqa: F401
 from .errors import UnsupportedMethodError, ValidationError
 from .models import (
     HardCoreParams,
@@ -47,6 +56,7 @@ __all__ = [
     "mean_interference_poisson_hole",
     "h_integral",
     "h_bound",
+    "h_bound_over_tail",
     "eir",
     "eir_type1_approximation",
     "eir_type2_bound",
@@ -134,29 +144,12 @@ def _transition_integral(params: HardCoreParams, pathloss: PathLossModel,
     """
     delta = params.delta
     lam_p = params.lambda_p
-    kind = params.kind
-
-    if kind is ProcessKind.POISSON_HOLE:
-        def integrand(r: float) -> float:
-            return 2.0 * math.pi * float(pathloss(r)) * r
-    elif kind is ProcessKind.MATERN_I:
-        two_disks = 2.0 * math.pi * delta * delta
-        # the exponent of K' peaks at r = delta, lambda_p*delta^2 times
-        # 2*pi/3 - sqrt(3)/2
-        if lam_p * (two_disks - C2_LENS * delta * delta) > _LOG_FLOAT_MAX:
-            raise _FloatRangeError(params)
-
-        def integrand(r: float) -> float:
-            exponent = lam_p * (two_disks - v_union(delta, r))
-            return 2.0 * math.pi * float(pathloss(r)) * r * math.exp(exponent)
-    else:
-        ratio = intensity(params) / lam_p
-        prefactor = 2.0 * math.pi / (ratio * ratio)
-
-        def integrand(r: float) -> float:
-            return prefactor * float(pathloss(r)) * r * pair_retention_type2(params, r)
-
-    g, lower, upper, cfg = _in_s(integrand, delta, 2.0 * delta,
+    # the exponent of K' peaks at r = delta, lambda_p*delta^2 times
+    # 2*pi/3 - sqrt(3)/2
+    if (params.kind is ProcessKind.MATERN_I and lam_p * (
+            2.0 * math.pi * delta * delta - C2_LENS * delta * delta) > _LOG_FLOAT_MAX):
+        raise _FloatRangeError(params)
+    g, lower, upper, cfg = _in_s(_k_prime(params, pathloss), delta, 2.0 * delta,
                                  _transition_quad_config(pathloss, delta, quad))
     result = integrate(g, lower, upper, cfg)
     if math.isinf(result.value):
@@ -241,14 +234,10 @@ def mean_interference_poisson_hole(params: HardCoreParams,
 # ---------------------------------------------------------------------------
 
 
-def h_integral(v: float, x: float, alpha: float) -> float:
-    """The weighted radial integral of r^(1-alpha)*exp(-v*r) over [x, 2*x],
-    expressed through upper incomplete gamma functions of order 2 - alpha.
-
-    Computed from exponentially scaled gamma evaluations with a single
-    leading exp(-v*x) factor, so intermediate values neither overflow nor
-    underflow until the result itself is subnormal (v*x beyond about 700).
-    """
+def _h_integral_parts(v: float, x: float, alpha: float) -> tuple[float, float, float]:
+    """h_integral(v, x, alpha) as the product of v^(alpha-2), exp(-v*x) and
+    a difference of scaled incomplete gammas, each of which stays in range
+    when the product does not."""
     if not (v > 0 and math.isfinite(v)):
         raise ValidationError(f"v must be > 0, got {v}")
     if not (x > 0 and math.isfinite(x)):
@@ -258,7 +247,20 @@ def h_integral(v: float, x: float, alpha: float) -> float:
     s = 2.0 - alpha
     g1 = upper_incomplete_gamma(s, v * x, scaled=True)
     g2 = upper_incomplete_gamma(s, 2.0 * v * x, scaled=True)
-    return v ** (alpha - 2.0) * math.exp(-v * x) * (g1 - math.exp(-v * x) * g2)
+    decay = math.exp(-v * x)
+    return v ** (alpha - 2.0), decay, g1 - decay * g2
+
+
+def h_integral(v: float, x: float, alpha: float) -> float:
+    """The weighted radial integral of r^(1-alpha)*exp(-v*r) over [x, 2*x],
+    expressed through upper incomplete gamma functions of order 2 - alpha.
+
+    Computed from exponentially scaled gamma evaluations with a single
+    leading exp(-v*x) factor, so intermediate values neither overflow nor
+    underflow until the result itself is subnormal (v*x beyond about 700).
+    """
+    power, decay, gammas = _h_integral_parts(v, x, alpha)
+    return power * decay * gammas
 
 
 def h_bound(params: HardCoreParams, pathloss: PathLossModel,
@@ -286,6 +288,41 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
     result = integrate(integrand, delta, 2.0 * delta, cfg)
     result.require("affine-bound interference integral")
     return prefactor * result.value
+
+
+def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
+                      bound: AffineVBound) -> float:
+    """h_bound(params, pathloss, bound) / interference_outside_2delta(params,
+    pathloss) for a type I process and a power law, formed without lambda.
+
+    Both means carry lambda_p * exp(-lambda_p * delta^2 * c), so the ratio
+    is exp(lambda_p*delta^2*(pi - a - b)) times the scaled closed form of
+    h_integral over the tail integral from 2*delta. Where lambda underflows
+    the quotient of the two means is 0/0, but this ratio stays finite until
+    it leaves the float range itself, where a validation error is raised.
+    The affine-bound EIR is (this + 1) / 2^(alpha - 2).
+    """
+    _check_power_law_cutoff(params, pathloss)
+    if params.kind is not ProcessKind.MATERN_I:
+        raise ValidationError("the affine bounds apply to the type I process only")
+    if not isinstance(pathloss, PowerLawPathLoss):
+        raise UnsupportedMethodError(
+            "the lambda-free affine-bound ratio requires power-law path loss")
+    if params.delta <= 0:
+        raise ValidationError("h_bound_over_tail requires delta > 0")
+    lam_p, delta = params.lambda_p, params.delta
+    power, _, gammas = _h_integral_parts(lam_p * bound.b * delta, delta, pathloss.alpha)
+    exponent = lam_p * delta * delta * (math.pi - bound.a - bound.b)
+    try:
+        ratio = (math.exp(exponent) * power * gammas
+                 / pathloss.radial_integral(2.0 * delta, math.inf))
+    except OverflowError:
+        ratio = math.inf
+    if math.isinf(ratio):
+        raise ValidationError(
+            "the ratio of the affine-bound interference to the tail overflows "
+            f"a float at lambda_p*delta^2 = {lam_p * delta * delta:g}")
+    return ratio
 
 
 # ---------------------------------------------------------------------------

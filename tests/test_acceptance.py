@@ -17,8 +17,6 @@ import pytest
 
 from matern_interference.analytic import affine_v_bounds, k_function
 from matern_interference.interference import (
-    EirMethod,
-    NU_TYPE2_UNIVERSAL,
     eir,
     eir_type2_bound,
     h_bound,

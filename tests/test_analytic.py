@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from matern_interference.analytic import (
+    _k_prime,
     AffineVBound,
     BoundSide,
     C2_LENS,
@@ -23,7 +24,13 @@ from matern_interference.analytic import (
     v_union,
 )
 from matern_interference.errors import ValidationError
-from matern_interference.models import HardCoreParams, ProcessKind, intensity
+from matern_interference.models import (
+    HardCoreParams,
+    PowerLawPathLoss,
+    ProcessKind,
+    TabulatedPathLoss,
+    intensity,
+)
 from matern_interference.numerics import QuadratureConfig, integrate
 
 P21_T1 = HardCoreParams(2.0, 1.0, ProcessKind.MATERN_I)
@@ -246,6 +253,65 @@ def test_k_derivative_type2_transition_zone():
     for r in (1.001, 1.05, 1.2, 1.5, 1.8, 1.99):
         g = k_derivative(P21_T2, r) / (2.0 * math.pi * r)
         assert 1.0 - 1e-12 <= g < cap
+
+
+def _k_prime_reference(params, r, loss=None):
+    """K'(r), times loss(r) when given, through the pointwise chain: the
+    k_derivative formula without a loss, the interference integrand with
+    one."""
+    delta, lam_p = params.delta, params.lambda_p
+    if params.kind is ProcessKind.POISSON_HOLE:
+        if loss is None:
+            return 2.0 * math.pi * r if r >= delta else 0.0
+        return 2.0 * math.pi * float(loss(r)) * r
+    if loss is None:
+        if r < delta:
+            return 0.0
+        if r >= 2.0 * delta:
+            return 2.0 * math.pi * r
+    if params.kind is ProcessKind.MATERN_I:
+        exponent = lam_p * (2.0 * math.pi * delta * delta - v_union(delta, r))
+        if loss is None:
+            return 2.0 * math.pi * r * math.exp(exponent)
+        return 2.0 * math.pi * float(loss(r)) * r * math.exp(exponent)
+    ratio = intensity(params) / lam_p
+    if loss is None:
+        return 2.0 * math.pi * r * pair_retention_type2(params, r) / (ratio * ratio)
+    prefactor = 2.0 * math.pi / (ratio * ratio)
+    return prefactor * float(loss(r)) * r * pair_retention_type2(params, r)
+
+
+_KERNEL_LOSSES = {
+    "none": None,
+    "power": PowerLawPathLoss(3.5),
+    "tabulated": TabulatedPathLoss((0.5, 1.1, 1.6, 2.4, 4.0),
+                                   (1.0, 0.7, 0.4, 0.1, 0.0)),
+}
+
+
+@pytest.mark.parametrize("loss", list(_KERNEL_LOSSES))
+@pytest.mark.parametrize("kind", list(ProcessKind))
+@pytest.mark.parametrize("lam_p, delta", [
+    (2.0, 1.0),
+    (0.7, 1.7),      # (2*pi*delta)*delta != 2*pi*(delta*delta) here
+    (1.5e-5, 1.0),   # type II retention on its series branch, cubic term live
+    (400.0, 1.0),    # dense: lambda_p*delta^2 = 400
+])
+def test_k_prime_kernel_matches_pointwise_chain_bit_for_bit(lam_p, delta, kind, loss):
+    params = HardCoreParams(lam_p, delta, kind)
+    pathloss = _KERNEL_LOSSES[loss]
+    kernel = _k_prime(params, pathloss)
+    radii = [delta * (1.0 + k / 64.0) for k in range(64)]
+    radii += [math.nextafter(2.0 * delta, 0.0), 2.0 * delta, 2.5 * delta]
+    if pathloss is None:
+        radii += [0.0, math.nextafter(delta, 0.0)]
+    if lam_p == 1.5e-5:
+        assert lam_p * v_union(delta, math.nextafter(2.0 * delta, 0.0)) < 1e-4
+    for r in radii:
+        want = _k_prime_reference(params, r, pathloss)
+        assert kernel(r).hex() == want.hex(), r
+        if pathloss is None:
+            assert k_derivative(params, r).hex() == want.hex(), r
 
 
 def test_k_function_poisson_hole_closed_form():

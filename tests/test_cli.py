@@ -314,6 +314,105 @@ def test_sample_output_golden(process, mode, capsys):
     assert digest == SAMPLE_DIGESTS[process, mode]
 
 
+# sha256 of the full stdout, manifest line included, of the analytic
+# commands at lambda_p = 2, delta = 1, alpha = 3 (delta = 2 for the type I
+# approximation). They pin the printed K-function, K'(r), transition
+# quadrature and EIR values of each process kind. Recorded on x86-64.
+ANALYTIC_DIGESTS = {
+    "eir-matern1-quadrature":
+        "e1a71e4c8f9bd5309546b81548e6fa7f0146f39e78f8f82bfc73b40e3c5e2cb9",
+    "eir-matern1-approximation":
+        "59b330eaeefa647f0fad9f6cc6774ff4b8cca198be588cd7884d71637045ae7c",
+    "eir-matern2-quadrature":
+        "fb2173f750cb3f4a34db5350a0bd54a34084320850d6d4bf03ce80bff5276deb",
+    "eir-matern2-upper-bound":
+        "b18425355656f757f33e89e67156af9cb17e0984b33c73d2dd36f6cee58eb778",
+    "kfun-matern1-csv":
+        "1ee2bb5cbbded1bdc1332744d4a02b2a5d242737e3337b85dd5fbdd2c540e2b9",
+    "kfun-matern1-json":
+        "cca0d5d6defaae3cc0ad4de982ac75cc4113fc09e8e7e49fd88481818f792cbd",
+    "kfun-matern2-csv":
+        "ecc04cf56e2f70bfcd1ccb60c2b41753e97c4c6d3ee203be88b79a687e0d7455",
+    "kfun-matern2-json":
+        "3e9fbaa7beca51babd1c8ad7fe297f60b252d0545bb2ca36c450d0c1945ff1c3",
+    "interference-matern1-quadrature":
+        "db9e3933d9e7c3c31b701b649d412e56cde9a634882981317d63cb6dfc7490c8",
+    "interference-matern2-quadrature":
+        "49e4a9ebe86ced4eaa5bb03c5866c8043b0bde81ae9f942a878bb890aae3890b",
+}
+
+
+def analytic_argv(case):
+    command, process, *rest = case.split("-", 2)
+    argv = [command, "--process", process, "--lambda-p", "2", "--delta", "1"]
+    if command == "kfun":
+        return argv + ["--format", rest[0]]
+    if rest[0] == "approximation":
+        argv[-1] = "2"
+    return argv + ["--alpha", "3", "--method", rest[0]]
+
+
+@pytest.mark.parametrize("case", list(ANALYTIC_DIGESTS))
+def test_analytic_output_golden(case, capsys):
+    code, out, err = run_cli(capsys, *analytic_argv(case))
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYTIC_DIGESTS[case]
+
+
+# mpmath (scripts/make_oracles.py): the affine-bound type I EIR at
+# delta = 8, alpha = 3, where lambda is subnormal (lambda_p = 3.7) or zero
+# (3.8), as (linear, dB) for the lower and the upper bound
+BOUNDS_DENSE_T1_D8_A3 = {
+    3.7: ((1.3906934425758794e+112, 1121.4323140686441),
+          (7.244520580654017e+123, 1238.6000965052967)),
+    3.8: ((1.6988341679409652e+115, 1152.3015098718972),
+          (1.8312181166835613e+127, 1272.6274007626805)),
+}
+
+
+@pytest.mark.parametrize("lam_p", sorted(BOUNDS_DENSE_T1_D8_A3))
+def test_bounds_dense_type1_matches_oracle(lam_p, capsys):
+    code, out, err = run_cli(capsys, "bounds", "--lambda-p", str(lam_p),
+                             "--delta", "8", "--alpha", "3")
+    assert code == 0, err
+    rows, _ = csv_rows(out)
+    by_name = {r["quantity"]: float(r["value"]) for r in rows}
+    assert all(math.isfinite(v) for v in by_name.values())
+    (low, low_db), (high, high_db) = BOUNDS_DENSE_T1_D8_A3[lam_p]
+    assert by_name["eir_lower_linear"] == pytest.approx(low, rel=1e-11)
+    assert by_name["eir_lower_db"] == pytest.approx(low_db, rel=1e-11)
+    assert by_name["eir_upper_linear"] == pytest.approx(high, rel=1e-11)
+    assert by_name["eir_upper_db"] == pytest.approx(high_db, rel=1e-11)
+
+
+def test_bounds_past_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--lambda-p", "10",
+                             "--delta", "8", "--alpha", "3")
+    assert code == 2
+    assert out == ""
+    assert "overflows a float" in err
+    assert "Traceback" not in err
+
+
+# mpmath (scripts/make_oracles.py): figure1's type I means over lambda at
+# lambda_p = 4, delta = 9, alpha = 3, lower and upper
+FIGURE1_DENSE_T1_D9 = (1.1690794037867464e+154, 1.2232820669687482e+170)
+
+
+def test_figure1_dense_type1_is_finite(capsys):
+    code, out, err = run_cli(capsys, "figure1", "--lambda-p", "4",
+                             "--delta-min", "7", "--delta-max", "9")
+    assert code == 0, err
+    rows, _ = csv_rows(out)
+    assert len(rows) == 20
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+    assert float(rows[-1]["delta"]) == 9.0
+    assert float(rows[-1]["matern1_lower"]) == pytest.approx(
+        FIGURE1_DENSE_T1_D9[0], rel=1e-11)
+    assert float(rows[-1]["matern1_upper"]) == pytest.approx(
+        FIGURE1_DENSE_T1_D9[1], rel=1e-11)
+
+
 def test_figure1_rows(capsys):
     code, out, _ = run_cli(capsys, "figure1", "--steps", "5")
     assert code == 0

@@ -20,6 +20,7 @@ from matern_interference.interference import (
     eir_type1_approximation,
     eir_type2_bound,
     h_bound,
+    h_bound_over_tail,
     h_integral,
     interference_outside_2delta,
     mean_interference_inside_2delta,
@@ -209,6 +210,34 @@ def test_h_bound_tabulated_route_matches_power_law():
     want = h_bound(T1_21, PL3, chord)
     assert got == pytest.approx(want, rel=5e-4)
     assert got >= want * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("lam, delta", [(0.5, 0.5), (2.0, 1.0), (2.0, 2.0),
+                                        (3.0, 8.0)])
+def test_h_bound_over_tail_is_the_ratio_of_the_means(lam, delta):
+    # where lambda is a normal float the two means can be divided directly
+    params = HardCoreParams(lam, delta, ProcessKind.MATERN_I)
+    for pathloss in (PL3, PowerLawPathLoss(4.0), PowerLawPathLoss(2.5, r0=0.1)):
+        outside = interference_outside_2delta(params, pathloss)
+        for line in affine_v_bounds():
+            want = h_bound(params, pathloss, line) / outside
+            got = h_bound_over_tail(params, pathloss, line)
+            assert got == pytest.approx(want, rel=1e-11)
+
+
+def test_h_bound_over_tail_dense_and_past_float_range():
+    chord, tangent = affine_v_bounds()
+    # lambda_p*pi*delta^2 = 764: lambda, and so the tail mean, is zero
+    dense = HardCoreParams(3.8, 8.0, ProcessKind.MATERN_I)
+    assert interference_outside_2delta(dense, PL3) == 0.0
+    assert math.isfinite(h_bound_over_tail(dense, PL3, chord))
+    with pytest.raises(ValidationError, match="overflows a float"):
+        h_bound_over_tail(HardCoreParams(10.0, 8.0, ProcessKind.MATERN_I), PL3, chord)
+    with pytest.raises(ValidationError):
+        h_bound_over_tail(T2_21, PL3, tangent)
+    tab = TabulatedPathLoss((0.5, 4.0), (1.0, 0.0))
+    with pytest.raises(UnsupportedMethodError):
+        h_bound_over_tail(T1_21, tab, tangent)
 
 
 def test_h_bound_requires_hard_core():
