@@ -137,6 +137,9 @@ def main() -> None:
             val = mp.e**xx * mp.gammainc(s, a=xx, b=mp.inf)
             print(f"    ({s_str}, {x_str}, {mp.nstr(val, 17)}),")
     print("]")
+    xx = mp.mpf("3e16")
+    print("s=-2.5, x=3e16:",
+          mp.nstr(mp.e**xx * mp.gammainc(mp.mpf("-2.5"), a=xx, b=mp.inf), 17))
 
 
 if __name__ == "__main__":

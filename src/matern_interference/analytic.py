@@ -188,10 +188,13 @@ def _in_s(f, delta: float, end: float, quad: QuadratureConfig):
     def g(s: float) -> float:
         return 2.0 * s * f(two_delta - s * s)
 
+    lower, upper = math.sqrt(two_delta - end), math.sqrt(delta)
+    # no knots to map (every power-law call): the config is used as it is
+    if not quad.breakpoints:
+        return g, lower, upper, quad
     knots = sorted({math.sqrt(two_delta - b)
                     for b in quad.breakpoints if delta < b < end})
-    cfg = replace(quad, breakpoints=tuple(knots))
-    return g, math.sqrt(two_delta - end), math.sqrt(delta), cfg
+    return g, lower, upper, replace(quad, breakpoints=tuple(knots))
 
 
 def _k_prime(params: HardCoreParams, loss=None):

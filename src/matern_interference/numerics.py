@@ -204,6 +204,7 @@ def integrate(f, a: float, b: float,
 
 _CF_MAX_ITER = 512
 _CF_TOL = 1e-16
+_EPS = 2.0 ** -53  # unit roundoff of a double
 
 
 def _gamma_cf_scaled(s: float, x: float) -> float:
@@ -308,7 +309,14 @@ def upper_incomplete_gamma(s: float, x: float, scaled: bool = False) -> float:
             "representation diverges at the origin for negative orders"
         )
 
-    if s >= 0.5:
+    if x > 1.0 and abs((s - 1.0) * (s - 2.0)) < _EPS * x * x:
+        # e^x Gamma(s, x) = x^(s-1) (1 + (s-1)/x + (s-1)(s-2)/x^2 + ...),
+        # and the third term is below rounding. Past x of about 2^54 the
+        # continued fraction can no longer meet its tolerance, because a
+        # partial denominator times its rounded reciprocal need not round
+        # to 1; once (s-1)/x is below rounding too this is just x^(s-1).
+        out = math.pow(x, s - 1.0) * (1.0 + (s - 1.0) / x)
+    elif s >= 0.5:
         out = _gamma_base_scaled(s, x)
     elif x >= 0.3:
         # the fraction converges at any order here and sidesteps the

@@ -21,10 +21,11 @@ fixed: (type I) parent count, squared radii, angles; (type II) repeat
 [origin mark, interior count, interior squared radii, angles, marks] until
 accepted, then exterior count, squared radii, angles, marks; fading weights
 are drawn last, only for retained in-window points. Ensembles are thinned
-in chunks of 128 replicates on up to two threads; neither the chunk size
-nor the thread count changes a single bit of the result, because every
-chunk draws from its own replicates' streams and every thinning decision is
-made on the replicate's own coordinates.
+in chunks of about 2**14 expected parents (never less than one replicate)
+on up to two threads; neither the chunk size nor the thread count changes a
+single bit of the result, because every chunk draws from its own
+replicates' streams and every thinning decision is made on the replicate's
+own coordinates.
 """
 
 from __future__ import annotations
@@ -72,12 +73,16 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _TWO_PI = 2.0 * math.pi
-_CHUNK = 128  # replicates thinned per batched KD-tree pass
+# Expected parents per batched KD-tree pass (see _chunk_replicates). A
+# chunk's coordinate, tree and pair arrays grow with its parents, so a
+# budget in parents, not replicates, bounds its memory at any density and
+# window; at about 2**15 parents and beyond, every chunk also faults in
+# fresh pages for those arrays instead of reusing freed ones.
+_PARENT_BUDGET = 2**14
 # Chunks in flight at once. cKDTree and the large NumPy reductions release
 # the GIL, so a chunk's neighbour search overlaps the other chunk's search
-# or its Python-bound parent draws. Two chunks of 128 peak below one chunk
-# of 512; two of 256 peak above it, because both hold a neighbour search's
-# pair arrays at once.
+# or its Python-bound parent draws. Both chunks hold a neighbour search's
+# pair arrays at once, so the parent budget bounds the peak of the pair.
 _MAX_THREADS = 2
 _MIN_ACCEPTANCE = 1e-6
 
@@ -131,8 +136,9 @@ def _resolve_guard(params: HardCoreParams, cfg: SimulationConfig) -> float:
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """The stream for one replicate; the (seed, replicate) pair fully
     determines it regardless of how many other replicates run."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
+    # the bit generator default_rng would pick, without its dispatch
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))))
 
 
 def _uniform_in_annulus(rng: np.random.Generator, r_inner: float,
@@ -360,9 +366,10 @@ class PalmEnsemble:
 def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnsemble:
     """Draw cfg.replicates Palm patterns and flatten them.
 
-    Replicates are thinned in chunks of 128: each chunk is laid out along
-    the x axis with spacing wider than any interaction range and passed
-    through one KD-tree query, which removes the per-replicate Python cost.
+    Replicates are thinned in chunks of about _PARENT_BUDGET expected
+    parents (see _chunk_replicates): each chunk is laid out along the x
+    axis with spacing wider than any interaction range and passed through
+    one KD-tree query, which removes the per-replicate Python cost.
     Chunks run on up to two threads, never more than the CPUs this process
     may use. The per-replicate streams, and pair decisions made on
     untranslated coordinates, make the result identical to looping over
@@ -373,9 +380,10 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     from concurrent.futures import ThreadPoolExecutor
 
     _resolve_guard(params, cfg)
-    starts = range(0, cfg.replicates, _CHUNK)
+    size = _chunk_replicates(params, cfg)
+    starts = range(0, cfg.replicates, size)
     with ThreadPoolExecutor(max_workers=_ensemble_threads(len(starts))) as pool:
-        chunks = list(pool.map(partial(_palm_chunk, params, cfg), starts))
+        chunks = list(pool.map(partial(_palm_chunk, params, cfg, size), starts))
     radii, rep_ids, weights, attempts = zip(*chunks)
     is_type2 = params.kind is ProcessKind.MATERN_II
     rate = (cfg.replicates / sum(attempts)
@@ -391,6 +399,18 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     )
 
 
+def _chunk_replicates(params: HardCoreParams, cfg: SimulationConfig) -> int:
+    """Replicates per chunk: as many as hold at most _PARENT_BUDGET expected
+    parents, lambda_p*pi*(W + delta)**2 each, but at least one and at most
+    cfg.replicates."""
+    r_parent = cfg.window_radius + params.delta
+    expected = params.lambda_p * math.pi * r_parent * r_parent
+    # tested first, so a tiny density never divides the budget to inf
+    if expected * cfg.replicates <= _PARENT_BUDGET:
+        return cfg.replicates
+    return max(1, int(_PARENT_BUDGET // expected))
+
+
 def _ensemble_threads(chunks: int) -> int:
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -399,13 +419,15 @@ def _ensemble_threads(chunks: int) -> int:
     return min(_MAX_THREADS, cpus, chunks)
 
 
-def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, chunk_start: int):
-    """Draw and thin replicates [chunk_start, chunk_start + _CHUNK) in one
-    KD-tree pass. Returns the retained in-window radii, their replicate ids
-    and fading weights, and the number of type II attempts."""
+def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
+                chunk_start: int):
+    """Draw and thin replicates [chunk_start, chunk_start + size) in one
+    KD-tree pass; run_palm_ensemble sizes chunks by their expected parents.
+    Returns the retained in-window radii, their replicate ids and fading
+    weights, and the number of type II attempts."""
     delta, r_window = params.delta, cfg.window_radius
     is_type2 = params.kind is ProcessKind.MATERN_II
-    chunk = min(_CHUNK, cfg.replicates - chunk_start)
+    chunk = min(size, cfg.replicates - chunk_start)
     rngs = []
     rsq_list = []
     theta_list = []

@@ -394,6 +394,18 @@ def test_bounds_past_float_range_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_bounds_at_huge_density_finishes_without_a_traceback(capsys):
+    # h_bound's incomplete gammas are taken at x = 7.86e301 here, where
+    # their continued fraction used to stall (exit 3)
+    code, out, err = run_cli(capsys, "bounds", "--lambda-p", "1e300",
+                             "--delta", "8", "--alpha", "3")
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 # mpmath (scripts/make_oracles.py): figure1's type I means over lambda at
 # lambda_p = 4, delta = 9, alpha = 3, lower and upper
 FIGURE1_DENSE_T1_D9 = (1.1690794037867464e+154, 1.2232820669687482e+170)

@@ -176,6 +176,27 @@ def test_gamma_scaled_unscaled_consistency():
             assert plain == pytest.approx(math.exp(-x) * scaled, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [-6.0, -2.5, -1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("x", [3e16, 1e17, 1e30, 7.86e301])
+def test_gamma_at_huge_x_follows_its_asymptotic_series(s, x):
+    # e^x Gamma(s, x) = x^(s-1) (1 + (s-1)/x + (s-1)(s-2)/x^2 + ...), whose
+    # third term is below 1e-31 here; out here the continued fraction used
+    # to stall, where a partial denominator times its rounded reciprocal
+    # rounds to 1 - 2^-53
+    want = math.pow(x, s - 1.0) * (1.0 + (s - 1.0) / x)
+    got = upper_incomplete_gamma(s, x, scaled=True)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert upper_incomplete_gamma(s, x) == 0.0  # e^-x underflows
+
+
+def test_gamma_at_huge_x_matches_high_precision():
+    # mpmath (scripts/make_oracles.py); the continued fraction stalled here
+    # although (s - 1)/x is still above rounding, so the leading term alone
+    # would not serve
+    got = upper_incomplete_gamma(-2.5, 3e16, scaled=True)
+    assert got == pytest.approx(2.138334330331947e-58, rel=1e-15)
+
+
 def test_gamma_rejects_nonpositive_x():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):

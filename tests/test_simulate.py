@@ -228,12 +228,38 @@ def test_sample_palm_respects_hard_core_and_origin(kind):
         assert pat.min_pair_distance() >= 0.5
 
 
-# the first and last replicate of a 600-replicate ensemble, and those on
-# both sides of each seam between the chunks it is thinned in
+# the first and last replicate of the 600-replicate ensembles below, and
+# those on both sides of each seam between the chunks they are thinned in
+_SEAM_CHUNK = simulate._chunk_replicates(
+    HardCoreParams(1.5, 0.8, ProcessKind.MATERN_I),
+    SimulationConfig(window_radius=6.0, replicates=600))
 SEAM_REPLICATES = sorted({0, 599} | {seam + side
-                                     for seam in range(simulate._CHUNK, 600,
-                                                       simulate._CHUNK)
+                                     for seam in range(_SEAM_CHUNK, 600,
+                                                       _SEAM_CHUNK)
                                      for side in (-1, 0)})
+
+
+def test_chunk_sizing_rule():
+    budget = simulate._PARENT_BUDGET
+    # the last two: lambda_p = 100, W = 20 holds about 138k parents per
+    # replicate, and a density so small that one chunk takes everything
+    for lam_p, delta, window, reps in [(1.5, 0.8, 6.0, 600), (2.0, 1.0, 20.0, 512),
+                                       (2.0, 0.5, 4.0, 100_000), (0.01, 1.0, 3.0, 50),
+                                       (4.0, 0.0, 5.0, 1000), (100.0, 0.5, 20.0, 128),
+                                       (1e-300, 1.0, 3.0, 10**6)]:
+        params = HardCoreParams(lam_p, delta, ProcessKind.MATERN_II)
+        cfg = SimulationConfig(window_radius=window, replicates=reps)
+        size = simulate._chunk_replicates(params, cfg)
+        expected = lam_p * math.pi * (window + delta) ** 2
+        assert 1 <= size <= reps
+        if expected <= budget:
+            # as many as the budget holds, and no fewer
+            assert size * expected <= budget
+            assert size == reps or (size + 1) * expected > budget
+        else:
+            assert size == 1
+    # the bitwise test below crosses several seams
+    assert len(SEAM_REPLICATES) > 6
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.POISSON_HOLE,
@@ -276,6 +302,27 @@ def test_ensemble_matches_per_replicate_sampling_bitwise(kind):
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_ensemble_is_the_same_at_any_chunk_size(kind, monkeypatch):
+    params = HardCoreParams(1.5, 0.8, kind)
+    cfg = SimulationConfig(window_radius=6.0, replicates=40, seed=11,
+                           fading=FadingModel(FadingKind.UNIT_MEAN_EXPONENTIAL))
+    expected = params.lambda_p * math.pi * (6.0 + 0.8) ** 2
+    ensembles = []
+    # one replicate per chunk, an odd size that leaves a short last chunk,
+    # and one chunk for everything
+    for budget, size in [(1, 1), (math.ceil(7 * expected), 7), (2**62, 40)]:
+        monkeypatch.setattr(simulate, "_PARENT_BUDGET", budget)
+        assert simulate._chunk_replicates(params, cfg) == size
+        ensembles.append(run_palm_ensemble(params, cfg))
+    first = ensembles[0]
+    for ens in ensembles[1:]:
+        assert np.array_equal(ens.radii, first.radii)
+        assert np.array_equal(ens.rep_ids, first.rep_ids)
+        assert np.array_equal(ens.weights, first.weights)
+        assert ens.acceptance_rate == first.acceptance_rate
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
 def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
     # Every replicate gets the same parents: two pairs just inside delta = 1,
     # so that both points of each pair die (type II: the larger mark dies).
@@ -298,6 +345,11 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
     monkeypatch.setattr(simulate, "_draw_palm_parent", fixed_parents)
     params = HardCoreParams(1.0, 1.0, kind)
     cfg = SimulationConfig(window_radius=7.0, replicates=600, seed=0)
+    # chunks of 128 replicates, whatever the parent budget: chunks of 20 or
+    # fewer translate too little for either fault to show
+    expected = math.pi * (7.0 + 1.0) ** 2
+    monkeypatch.setattr(simulate, "_PARENT_BUDGET", math.ceil(128 * expected))
+    assert simulate._chunk_replicates(params, cfg) == 128
     want = sample_palm(params, cfg, replicate=0).radii
     assert want.size == (0 if kind is ProcessKind.MATERN_I else 2)
     ens = run_palm_ensemble(params, cfg)
