@@ -121,8 +121,20 @@ def main() -> None:
     for name, a, b in (("lower", a_tan, b_tan), ("upper", a_cho, b_cho)):
         print(f"matern1_{name}:", mp.nstr((bound_ratio(lam4, a, b, d9) + 1) * beyond, 17))
 
-    print("== type II palm acceptance rate (lambda_p=2, delta=0.5) ==")
-    print(mp.nstr((1 - mp.e**(-x)) / x, 17))
+    print("== type II Palm origin mark (lambda_p=2, delta=0.5) ==")
+    # density x e^(-x m) / (1 - e^(-x)) on [0, 1]; the ball then holds
+    # x (1 - m) parents on average
+    mean_mark = 1 / x - 1 / mp.expm1(x)
+    print("E[m0]:", mp.nstr(mean_mark, 17),
+          " interior count:", mp.nstr(x * (1 - mean_mark), 17))
+
+    print("== type I means at subnormal lambda, lambda_p=3.7, delta=8, alpha=3 ==")
+    lam37 = mp.mpf("3.7")
+    lam_type1 = lam37 * mp.e**(-lam37 * pi * d8**2)
+    for name, start in (("interference_beyond_2delta", 2 * d8),
+                        ("mean_poisson_hole", d8)):
+        print(f"{name}:", mp.nstr(2 * pi * lam_type1 * start**(2 - alpha3)
+                                  / (alpha3 - 2), 17))
 
     print("== scaled upper incomplete gamma grid: e^x Gamma(s, x) ==")
     s_grid = ["-3.5", "-3", "-2.5", "-2", "-1.5", "-1", "-0.5",

@@ -176,15 +176,16 @@ def mean_interference_inside_2delta(
     return _times_intensity(params, inner)
 
 
-def _times_intensity(params: HardCoreParams, value: float) -> float:
-    """intensity(params) * value. A type I intensity is subnormal or zero
-    (lambda_p*pi*delta^2 > 708) long before that product is, so there the
-    product is formed in the log domain."""
+def _times_intensity(params: HardCoreParams, value: float,
+                     scale: float = 1.0) -> float:
+    """scale * intensity(params) * value, for value, scale >= 0. A type I
+    intensity is subnormal or zero (lambda_p*pi*delta^2 > 708) long before
+    that product is, so there the product is formed in the log domain."""
     lam = intensity(params)
     if (params.kind is not ProcessKind.MATERN_I or lam >= sys.float_info.min
             or value == 0.0):
-        return lam * value
-    return math.exp(math.log(params.lambda_p) + math.log(value)
+        return scale * lam * value
+    return math.exp(math.log(params.lambda_p) + math.log(scale * value)
                     - params.lambda_p * math.pi * params.delta * params.delta)
 
 
@@ -196,8 +197,8 @@ def interference_outside_2delta(params: HardCoreParams,
     _check_power_law_cutoff(params, pathloss)
     if params.delta <= 0:
         raise ValidationError("interference_outside_2delta requires delta > 0")
-    lam = intensity(params)
-    return 2.0 * math.pi * lam * pathloss.radial_integral(2.0 * params.delta, math.inf)
+    return _times_intensity(
+        params, pathloss.radial_integral(2.0 * params.delta, math.inf), 2.0 * math.pi)
 
 
 def mean_interference_quadrature(
@@ -225,8 +226,8 @@ def mean_interference_poisson_hole(params: HardCoreParams,
     radius delta. Closed form 2*pi*lambda*delta^(2-alpha)/(alpha-2) for a
     power law with cutoff below delta."""
     _check_power_law_cutoff(params, pathloss)
-    lam = intensity(params)
-    return 2.0 * math.pi * lam * pathloss.radial_integral(params.delta, math.inf)
+    return _times_intensity(
+        params, pathloss.radial_integral(params.delta, math.inf), 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------

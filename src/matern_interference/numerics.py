@@ -299,7 +299,9 @@ def upper_incomplete_gamma(s: float, x: float, scaled: bool = False) -> float:
     target is 1e-10 for x in [1e-3, 700] and moderate orders (|s| up to ~8,
     which covers every path loss exponent of interest); measured against
     mpmath the worst case over that domain is below 1e-12, including orders
-    within rounding distance of the nonpositive integers.
+    within rounding distance of the nonpositive integers. Raises
+    ValidationError where the scaled value overflows a float, with either
+    value of ``scaled``.
     """
     s = float(s)
     x = float(x)
@@ -308,7 +310,18 @@ def upper_incomplete_gamma(s: float, x: float, scaled: bool = False) -> float:
             f"upper_incomplete_gamma requires x > 0 (got x={x}); the integral "
             "representation diverges at the origin for negative orders"
         )
+    try:
+        out = _upper_gamma_scaled(s, x)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out):
+        raise ValidationError(
+            f"e^x Gamma(s, x) overflows a float at s={s}, x={x}")
+    return out if scaled else math.exp(-x) * out
 
+
+def _upper_gamma_scaled(s: float, x: float) -> float:
+    """e^x * Gamma(s, x) for x > 0; see upper_incomplete_gamma."""
     if x > 1.0 and abs((s - 1.0) * (s - 2.0)) < _EPS * x * x:
         # e^x Gamma(s, x) = x^(s-1) (1 + (s-1)/x + (s-1)(s-2)/x^2 + ...),
         # and the third term is below rounding. Past x of about 2^54 the
@@ -339,4 +352,4 @@ def upper_incomplete_gamma(s: float, x: float, scaled: bool = False) -> float:
         for _ in range(n):
             sk -= 1.0
             out = (out - math.pow(x, sk)) / sk
-    return out if scaled else math.exp(-x) * out
+    return out

@@ -9,23 +9,24 @@ ensemble.
 
 Sampling is exact, not approximate: the type I Palm construction uses the
 fact that conditioning a Poisson parent on an empty exclusion ball just
-removes that ball from its domain, and the type II construction uses
-rejection on the origin's mark neighborhood. Window truncation is corrected
-with an analytic tail that is unbiased because every process kind has
-exactly Poisson second-order structure beyond twice the hard-core distance.
+removes that ball from its domain, and the type II construction draws the
+origin's mark from its Palm law and then the exclusion ball's parents given
+that mark (see _draw_palm_parent). Window truncation is corrected with an
+analytic tail that is unbiased because every process kind has exactly
+Poisson second-order structure beyond twice the hard-core distance.
 
 Determinism contract: replicate k draws from a generator seeded with
 SeedSequence(entropy=seed, spawn_key=(k,)), so results are independent of
 execution order, chunking, and parallelism. The per-replicate draw order is
-fixed: (type I) parent count, squared radii, angles; (type II) repeat
-[origin mark, interior count, interior squared radii, angles, marks] until
-accepted, then exterior count, squared radii, angles, marks; fading weights
-are drawn last, only for retained in-window points. Ensembles are thinned
-in chunks of about 2**14 expected parents (never less than one replicate)
-on up to two threads; neither the chunk size nor the thread count changes a
-single bit of the result, because every chunk draws from its own
-replicates' streams and every thinning decision is made on the replicate's
-own coordinates.
+fixed: (Poisson hole, type I) parent count, squared radii, angles; (type II)
+origin mark, interior count, one block of interior squared radii, angles
+and marks, then exterior count, squared radii, angles, marks; fading
+weights are drawn last, only for retained in-window points. Ensembles are
+thinned in chunks of about 2**14 expected parents (never less than one
+replicate) on up to two threads; neither the chunk size nor the thread
+count changes a single bit of the result, because every chunk draws from
+its own replicates' streams and every thinning decision is made on the
+replicate's own coordinates.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ _PARENT_BUDGET = 2**14
 # or its Python-bound parent draws. Both chunks hold a neighbour search's
 # pair arrays at once, so the parent budget bounds the peak of the pair.
 _MAX_THREADS = 2
-_MIN_ACCEPTANCE = 1e-6
 
 
 class TailPolicy(enum.Enum):
@@ -269,57 +269,44 @@ def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
                       rng: np.random.Generator):
     """Parent configuration conditioned on a retained point at the origin.
 
-    Returns (rsq, theta, marks, origin_mark, attempts): the parents as
-    squared radii and angles, which _polar_points turns into coordinates
-    (one call per replicate, or one per chunk of them). For type I the
-    conditioning is exact and attempt-free: a parent point is retained at
-    the origin iff its exclusion ball is empty, and a Poisson process
-    conditioned on an empty ball is simply the process on the complement.
-    For type II the origin neighborhood is drawn by rejection; only the
-    interior of the exclusion ball needs redrawing because acceptance
-    depends on nothing else.
+    Returns (rsq, theta, marks, origin_mark): the parents as squared radii
+    and angles, which _polar_points turns into coordinates (one call per
+    replicate, or one per chunk of them). Every draw is exact. A type I
+    origin is retained iff its exclusion ball is empty, and a Poisson
+    process conditioned on an empty ball is the process on the complement.
+    A type II origin with mark m is retained with probability exp(-a*m),
+    a = lambda_p*pi*delta^2, so under the Palm law its mark has density
+    proportional to exp(-a*m) on [0, 1], and given m the ball holds a
+    Poisson number of parents of mean a*(1 - m), with marks uniform on
+    (m, 1) (Stoyan, Kendall and Mecke, Stochastic Geometry and its
+    Applications). Beyond the ball the parents are unconditioned.
     """
-    delta, r_window, lam_p = params.delta, cfg.window_radius, params.lambda_p
-    if params.kind is ProcessKind.POISSON_HOLE:
-        area = math.pi * (r_window * r_window - delta * delta)
-        n = int(rng.poisson(lam_p * area))
-        return (*_uniform_in_annulus(rng, delta, r_window, n), None, None, 1)
-
-    r_parent = r_window + delta  # competitors of any in-window point live here
-    if params.kind is ProcessKind.MATERN_I:
-        area = math.pi * (r_parent * r_parent - delta * delta)
-        n = int(rng.poisson(lam_p * area))
-        return (*_uniform_in_annulus(rng, delta, r_parent, n), None, None, 1)
-
-    # type II
-    if delta > 0:
-        acceptance = intensity(params) / lam_p
-        if acceptance < _MIN_ACCEPTANCE:
-            raise ValidationError(
-                f"type II Palm rejection sampling is infeasible: expected "
-                f"acceptance rate {acceptance:.3e} < {_MIN_ACCEPTANCE:.0e} "
-                f"(lambda_p={lam_p}, delta={delta})")
-    mean_interior = lam_p * math.pi * delta * delta
-    attempts = 0
-    while True:
-        attempts += 1
-        origin_mark = rng.random()
-        n_in = int(rng.poisson(mean_interior)) if mean_interior > 0 else 0
+    delta, lam_p = params.delta, params.lambda_p
+    # competitors of any in-window point of a Matern process live here
+    r_outer = (cfg.window_radius if params.kind is ProcessKind.POISSON_HOLE
+               else cfg.window_radius + delta)
+    is_type2 = params.kind is ProcessKind.MATERN_II
+    if is_type2:
+        a = lam_p * math.pi * delta * delta
+        u0 = rng.random()
+        # inverse of the mark's distribution function
+        # (1 - exp(-a*m)) / (1 - exp(-a))
+        origin_mark = -math.log1p(u0 * math.expm1(-a)) / a if a > 0 else u0
+        n_in = int(rng.poisson(a * (1.0 - origin_mark)))
         # uniform(0, b, n) is b times the next n standard doubles, so one
-        # block holds the interior's squared radii, angles and marks, and
-        # only the accepted attempt's are scaled and kept
+        # block holds the interior's squared radii, angles and marks
         u = rng.random(3 * n_in)
-        # on a handful of marks a Python min is cheaper than a NumPy compare
-        if min(u[2 * n_in:].tolist(), default=1.0) >= origin_mark:
-            break
-    area_out = math.pi * (r_parent * r_parent - delta * delta)
-    n_out = int(rng.poisson(lam_p * area_out))
-    rsq_out, theta_out = _uniform_in_annulus(rng, delta, r_parent, n_out)
-    marks_out = rng.uniform(0.0, 1.0, n_out)
-    rsq = np.concatenate((delta * delta * u[:n_in], rsq_out))
-    theta = np.concatenate((_TWO_PI * u[n_in:2 * n_in], theta_out))
-    marks = np.concatenate((u[2 * n_in:], marks_out))
-    return rsq, theta, marks, origin_mark, attempts
+        rsq_in = delta * delta * u[:n_in]
+        theta_in = _TWO_PI * u[n_in:2 * n_in]
+        marks_in = origin_mark + (1.0 - origin_mark) * u[2 * n_in:]
+    area = math.pi * (r_outer * r_outer - delta * delta)
+    n = int(rng.poisson(lam_p * area))
+    rsq, theta = _uniform_in_annulus(rng, delta, r_outer, n)
+    if not is_type2:
+        return rsq, theta, None, None
+    marks = rng.uniform(0.0, 1.0, n)
+    return (np.concatenate((rsq_in, rsq)), np.concatenate((theta_in, theta)),
+            np.concatenate((marks_in, marks)), origin_mark)
 
 
 def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
@@ -331,7 +318,7 @@ def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
     bit for bit."""
     _resolve_guard(params, cfg)
     rng = replicate_rng(cfg.seed, replicate)
-    rsq, theta, marks, origin_mark, _ = _draw_palm_parent(params, cfg, rng)
+    rsq, theta, marks, origin_mark = _draw_palm_parent(params, cfg, rng)
     points = _polar_points(rsq, theta)
     if marks is None:
         dead = _dead_mask(params, points, None)
@@ -360,7 +347,8 @@ class PalmEnsemble:
     replicates: int
     window_radius: float
     delta: float
-    acceptance_rate: Optional[float]  # type II rejection diagnostic
+    # None for every kind: every Palm draw is exact, with no rejection
+    acceptance_rate: Optional[float] = None
 
 
 def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnsemble:
@@ -384,10 +372,7 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     starts = range(0, cfg.replicates, size)
     with ThreadPoolExecutor(max_workers=_ensemble_threads(len(starts))) as pool:
         chunks = list(pool.map(partial(_palm_chunk, params, cfg, size), starts))
-    radii, rep_ids, weights, attempts = zip(*chunks)
-    is_type2 = params.kind is ProcessKind.MATERN_II
-    rate = (cfg.replicates / sum(attempts)
-            if is_type2 and params.delta > 0 else None)
+    radii, rep_ids, weights = zip(*chunks)
     return PalmEnsemble(
         radii=np.concatenate(radii),
         rep_ids=np.concatenate(rep_ids),
@@ -395,7 +380,6 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
         replicates=cfg.replicates,
         window_radius=cfg.window_radius,
         delta=params.delta,
-        acceptance_rate=rate,
     )
 
 
@@ -424,7 +408,7 @@ def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
     """Draw and thin replicates [chunk_start, chunk_start + size) in one
     KD-tree pass; run_palm_ensemble sizes chunks by their expected parents.
     Returns the retained in-window radii, their replicate ids and fading
-    weights, and the number of type II attempts."""
+    weights."""
     delta, r_window = params.delta, cfg.window_radius
     is_type2 = params.kind is ProcessKind.MATERN_II
     chunk = min(size, cfg.replicates - chunk_start)
@@ -434,11 +418,9 @@ def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
     marks_list = []
     origin_marks = np.empty(chunk)
     counts = np.empty(chunk, dtype=np.intp)
-    total_attempts = 0
     for j in range(chunk):
         rng = replicate_rng(cfg.seed, chunk_start + j)
-        rsq, theta, marks, origin_mark, attempts = _draw_palm_parent(params, cfg, rng)
-        total_attempts += attempts
+        rsq, theta, marks, origin_mark = _draw_palm_parent(params, cfg, rng)
         rngs.append(rng)
         rsq_list.append(rsq)
         theta_list.append(theta)
@@ -471,7 +453,7 @@ def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
             [cfg.fading.sample(rngs[j], int(per_rep[j])) for j in range(chunk)])
     else:
         weights = np.ones(kept_radii.size)
-    return kept_radii, kept_rep + chunk_start, weights, total_attempts
+    return kept_radii, kept_rep + chunk_start, weights
 
 
 # ---------------------------------------------------------------------------

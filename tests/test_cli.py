@@ -293,7 +293,7 @@ SAMPLE_DIGESTS = {
     ("matern1", "window"):
         "73aeb16969eed689536449541b504711f62ba6120a0f87f86e7a31d1d78c9b72",
     ("matern2", "palm"):
-        "d88dc83fd656f111d594459302404b730c722f9a5c94dab0d2d120004d871f62",
+        "86be83934ca660f62d2afd900e46baa740341ad03cf5734128b92bb8450f8da0",
     ("matern2", "window"):
         "a6efa43e4ed584b002690eca11f33cc722d689f21040946fc80536d0c2b003bd",
     ("poisson", "palm"):
@@ -383,6 +383,29 @@ def test_bounds_dense_type1_matches_oracle(lam_p, capsys):
     assert by_name["eir_lower_db"] == pytest.approx(low_db, rel=1e-11)
     assert by_name["eir_upper_linear"] == pytest.approx(high, rel=1e-11)
     assert by_name["eir_upper_db"] == pytest.approx(high_db, rel=1e-11)
+
+
+# mpmath (scripts/make_oracles.py): type I means at lambda_p = 3.7,
+# delta = 8, alpha = 3, where lambda itself is subnormal
+SUBNORMAL_T1_D8_A3 = {"interference_beyond_2delta": 1.1965780172954003e-323,
+                      "mean_poisson_hole": 2.3931560345908006e-323}
+
+
+def test_subnormal_type1_means_are_the_nearest_double(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--lambda-p", "3.7",
+                             "--delta", "8", "--alpha", "3")
+    assert code == 0, err
+    rows, _ = csv_rows(out)
+    by_name = {r["quantity"]: float(r["value"]) for r in rows}
+    want = SUBNORMAL_T1_D8_A3["interference_beyond_2delta"]
+    assert by_name["interference_beyond_2delta"] == float(want)  # 1e-323
+    code, out, err = run_cli(capsys, "eir", "--process", "matern1",
+                             "--lambda-p", "3.7", "--delta", "8",
+                             "--alpha", "3")
+    assert code == 0, err
+    rows, _ = csv_rows(out)
+    want = SUBNORMAL_T1_D8_A3["mean_poisson_hole"]
+    assert float(rows[0]["mean_poisson_hole"]) == float(want)  # 2.5e-323
 
 
 def test_bounds_past_float_range_exits_2(capsys):

@@ -197,6 +197,15 @@ def test_gamma_at_huge_x_matches_high_precision():
     assert got == pytest.approx(2.138334330331947e-58, rel=1e-15)
 
 
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("s, x", [(2.5, 7.86e301), (5.0, 1e200)])
+def test_gamma_past_the_float_range_raises_validation_error(s, x, scaled):
+    # e^x Gamma(s, x) is about x^(s-1), far past the largest float; the
+    # plain value is formed from the scaled one
+    with pytest.raises(ValidationError, match="overflows a float"):
+        upper_incomplete_gamma(s, x, scaled=scaled)
+
+
 def test_gamma_rejects_nonpositive_x():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):

@@ -276,10 +276,7 @@ def test_ensemble_matches_per_replicate_sampling_bitwise(kind):
         from_ens = np.sort(ens.radii[ens.rep_ids == rep])
         pat = sample_palm(params, cfg, replicate=rep)
         assert np.array_equal(from_ens, np.sort(pat.radii)), rep
-    if kind is ProcessKind.MATERN_II:
-        assert 0.0 < ens.acceptance_rate <= 1.0
-    else:
-        assert ens.acceptance_rate is None
+    assert ens.acceptance_rate is None
     assert np.all(ens.weights == 1.0)
 
     # several chunks, on more than one thread where the machine has the
@@ -319,7 +316,6 @@ def test_ensemble_is_the_same_at_any_chunk_size(kind, monkeypatch):
         assert np.array_equal(ens.radii, first.radii)
         assert np.array_equal(ens.rep_ids, first.rep_ids)
         assert np.array_equal(ens.weights, first.weights)
-        assert ens.acceptance_rate == first.acceptance_rate
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
@@ -340,7 +336,7 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
     origin_mark = 0.1 if kind is ProcessKind.MATERN_II else None
 
     def fixed_parents(params, cfg, rng):
-        return rsq.copy(), theta.copy(), marks, origin_mark, 1
+        return rsq.copy(), theta.copy(), marks, origin_mark
 
     monkeypatch.setattr(simulate, "_draw_palm_parent", fixed_parents)
     params = HardCoreParams(1.0, 1.0, kind)
@@ -358,8 +354,8 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
     assert np.array_equal(ens.radii, np.tile(want, 600))
 
 
-# sha256 of radii, rep_ids and weights (little-endian float64 / int64) and
-# the acceptance rate of 600-replicate ensembles: the six criterion-6
+# sha256 of radii, rep_ids and weights (little-endian float64 / int64) of
+# 600-replicate ensembles: the six criterion-6
 # parameter sets at their seeds, and one type II set with fading. These
 # pin the random stream itself, which the bitwise test above cannot see
 # because both of its sides share the Palm draw. Recorded with NumPy 2.4 on
@@ -368,47 +364,40 @@ STREAM_DIGESTS = [
     ((ProcessKind.MATERN_I, 1.0, 1.0, 7.0, 10, FadingKind.NONE), 4016,
      "94acadbf6f315c8c8f898f3c104a039e52cdf0fd73d56764e62c06c2e92c911a",
      "fce1323c83090ad3250d838a1b1b6b66ce8117417b47c1004373157ff56bb12b",
-     "a90eec5fd2888c74ab98f9c67057bce4d6552e2b5e6fc1f2fc4f5a635d623e37",
-     None),
-    ((ProcessKind.MATERN_II, 1.0, 1.0, 7.0, 13, FadingKind.NONE), 27493,
-     "1f98aa0894d4c79ea67e74bc344a5c6903ccd83cdb3a4dc3082c08319af4c91f",
-     "0e4ca0065a6c8520c764cf7bad12bbf2ea32dbb3bc53e970f6474ed1973b4c91",
-     "2c2d933bb738813dfb444bb44632c771f0e3a763d47af8913f2910a457893473",
-     0.2914035939776591),
+     "a90eec5fd2888c74ab98f9c67057bce4d6552e2b5e6fc1f2fc4f5a635d623e37"),
+    ((ProcessKind.MATERN_II, 1.0, 1.0, 7.0, 13, FadingKind.NONE), 27597,
+     "1c7f58af8daf192ea9acc3d95aa37f75893dcf5bf11694551dfb2d12f68e1601",
+     "1023ba21236355a38c05e3f01f50cf5a9b6e1d759ae076127d56f757614b6745",
+     "5ac92a682fb964acb2f0cdcea98064b6bca978481e75d2e0d57577ba37654d52"),
     ((ProcessKind.MATERN_I, 2.0, 0.5, 4.0, 21, FadingKind.NONE), 12711,
      "4dfe3454c982d3cc522ba37758624a5ff3109cb05927ccb53e36f3d4a2c2dcc1",
      "a0ded5fc3880108fc3a7062dd3e8c8bd4b8874c2b8ad6ca3165c9c63a2019fde",
-     "059a96055d705c21fd2f0e2b7344b35f605c43ba7437f333ca9b27266e5b3b1b",
-     None),
-    ((ProcessKind.MATERN_II, 2.0, 0.5, 4.0, 14, FadingKind.NONE), 30142,
-     "7507bd3434aeafc584b8d65cb04e6335ab5e836a86d1054e30268f24571c5094",
-     "c29c352da0f3cd23e779f537fd52b6a8a678ecce271b8b44ed335a597b1d6d32",
-     "451e6068b89c4064f998d1e840a8c6e2cf744d41498a353919127460239ebdda",
-     0.4971002485501243),
+     "059a96055d705c21fd2f0e2b7344b35f605c43ba7437f333ca9b27266e5b3b1b"),
+    ((ProcessKind.MATERN_II, 2.0, 0.5, 4.0, 14, FadingKind.NONE), 30049,
+     "cfdf724b71bf164d780514e2ea20105a15a2e319e2b4e3f34d6b69c2cbee5253",
+     "d8cf6f35e417ceb0ae5b015e3cc7fc713038d538753e34e2de24bca607c64444",
+     "02e04551080c09f8aa9886955210728e0b4926e8b9d40cb50bb94d36811488a7"),
     ((ProcessKind.MATERN_I, 2.0, 1.0, 7.0, 12, FadingKind.NONE), 402,
      "764d4d0b1530081cf90d1eef076c6fd4e5ec1d13eef0e3c1ff4b6adb8d8092c8",
      "785ffc2d967f9dfdddc37c4319bc7a69814a15e48137a9b72e0721048a6e0078",
-     "7f3b0c407a2ce566559f277913de321a828a6f0527fb2c1bf2e6e615d1c83823",
-     None),
-    ((ProcessKind.MATERN_II, 2.0, 1.0, 5.0, 25, FadingKind.NONE), 14632,
-     "5a8a1ef162e69967de010d0d15e88c2d4ff1bf71e3d033a91f740cc36f033996",
-     "0e1dab093215e0899917a25f02cb3851df652817a6c3e6daacbb7c36e91f6d54",
-     "28907ee68e5f2c0f866c141de05ecbe43a65c951142ff3e1e920db59a7c1e673",
-     0.16304347826086957),
+     "7f3b0c407a2ce566559f277913de321a828a6f0527fb2c1bf2e6e615d1c83823"),
+    ((ProcessKind.MATERN_II, 2.0, 1.0, 5.0, 25, FadingKind.NONE), 14396,
+     "d7ed368c6b819e6ea6d93b0411a0dc7c67b3f2b5cd85c241dbf0df1523d94d02",
+     "f63bc2ff056a5f183e6ded4e321b2d2fc32f0ef294f8cebb2ea124406cecc9eb",
+     "0e6e8bb6bb6149c9c331a4f53201c7f6d6eae74ae84852c51a120bbec662382a"),
     ((ProcessKind.MATERN_II, 1.5, 0.8, 6.0, 3, FadingKind.UNIT_MEAN_EXPONENTIAL),
-     31615,
-     "0590695b75c79d8b7709914d5c35ddda39ee14812d715b98570a141ef878623c",
-     "a563fe8c6a03aef620c0e383e46aedf8c25c75baa92a3d7d0f7cf873180839d9",
-     "1ca4e675c9e0beb8487e247037e22269cf9b5574503dbb2bbd260c2385a07ccb",
-     0.2982107355864811),
+     31568,
+     "72fcf6f42a8023107378b26238ef517303b925fbfef201386c9dd24633adc3e9",
+     "d77362f52853fb5ac9c5c260a1644eaa2a648601c95acde459cf39d11de1929d",
+     "edf89d67cc1f8076151e3569ba1e443c9219a2dfcafedb41c40b88159d076938"),
 ]
 
 
 @pytest.mark.parametrize(
-    "case, size, radii, rep_ids, weights, rate", STREAM_DIGESTS,
+    "case, size, radii, rep_ids, weights", STREAM_DIGESTS,
     ids=[f"{kind.name}-{lam}-{delta}-w{window}-s{seed}-{fading.value}"
          for (kind, lam, delta, window, seed, fading), *_ in STREAM_DIGESTS])
-def test_ensemble_stream_is_pinned(case, size, radii, rep_ids, weights, rate):
+def test_ensemble_stream_is_pinned(case, size, radii, rep_ids, weights):
     kind, lam, delta, window, seed, fading = case
     cfg = SimulationConfig(window_radius=window, replicates=600, seed=seed,
                            fading=FadingModel(fading))
@@ -422,15 +411,48 @@ def test_ensemble_stream_is_pinned(case, size, radii, rep_ids, weights, rate):
     assert digest(ens.radii, "<f8") == radii
     assert digest(ens.rep_ids, "<i8") == rep_ids
     assert digest(ens.weights, "<f8") == weights
-    assert ens.acceptance_rate == rate
+    assert ens.acceptance_rate is None
 
 
-def test_type2_palm_acceptance_rate_matches_thinning_probability():
+def test_type2_palm_origin_mark_and_interior_follow_the_palm_law():
+    # Under the Palm law of a type II process the origin's mark has
+    # distribution function F(m) = (1 - exp(-a*m)) / (1 - exp(-a)),
+    # a = lambda_p*pi*delta^2, and given that mark the exclusion ball holds
+    # Poisson(a*(1 - m)) parents, all with larger marks.
+    from scipy import stats
+
     params = HardCoreParams(2.0, 0.5, ProcessKind.MATERN_II)
-    cfg = SimulationConfig(window_radius=6.0, replicates=1500, seed=11)
+    cfg = SimulationConfig(window_radius=2.0, replicates=4000, seed=11)
+    a = params.lambda_p * math.pi * params.delta ** 2
+    origin_marks = np.empty(cfg.replicates)
+    interior = np.empty(cfg.replicates)
+    for k in range(cfg.replicates):
+        rsq, _, marks, origin_marks[k] = simulate._draw_palm_parent(
+            params, cfg, replicate_rng(cfg.seed, k))
+        inside = rsq < params.delta ** 2
+        interior[k] = np.count_nonzero(inside)
+        assert np.all(marks[inside] >= origin_marks[k])
+    ks = stats.kstest(origin_marks,
+                      lambda m: -np.expm1(-a * m) / -math.expm1(-a))
+    assert ks.pvalue > 1e-3, ks
+    mean_mark = 1.0 / a - 1.0 / math.expm1(a)  # E[m0] = 0.3742...
+    want = a * (1.0 - mean_mark)
+    se = np.std(interior, ddof=1) / math.sqrt(cfg.replicates)
+    assert abs(np.mean(interior) - want) < 4.0 * se
+
+
+def test_dense_type2_palm_agrees_with_quadrature():
+    # The thinning probability is 0.0318 here: a rejection sampler would
+    # have needed about 31 attempts per replicate.
+    params = HardCoreParams(10.0, 1.0, ProcessKind.MATERN_II)
+    pathloss = PowerLawPathLoss(3.0)
+    cfg = SimulationConfig(window_radius=3.0, replicates=2000, seed=1)
     ens = run_palm_ensemble(params, cfg)
-    want = intensity(params) / params.lambda_p  # 0.504378...
-    assert abs(ens.acceptance_rate - want) < 0.035
+    est = interference_estimate_from_ensemble(ens, params, pathloss)
+    want = mean_interference_quadrature(params, pathloss)
+    assert abs(est.mean - want) < 4.0 * est.std_error
+    lam_hat, lam_se = intensity_estimate_from_ensemble(ens)
+    assert abs(lam_hat - intensity(params)) < 4.0 * lam_se
 
 
 # ---------------------------------------------------------------------------
