@@ -97,6 +97,26 @@ def main() -> None:
         lam_type1 = lam4 * mp.e**(-lam4 * pi * d**2)
         print(f"delta={mp.nstr(d, 3)}:", mp.nstr(lam_type1 * inner, 17))
 
+    print("== dense type I EIR by quadrature, delta=1 (dB) ==")
+    # ln EIR = P + ln(I~ + e^-P * outer) - ln(reference), with the kernel
+    # scaled by its peak e^P at r = delta; it falls from there over
+    # w = 1/(sqrt(3) lambda_p delta), so the quadrature is cut at
+    # delta + 4^k w
+    one = mp.mpf(1)
+    for lam, alpha in (("1e3", 3), ("1e4", 3), ("1e6", 3), ("1e4", 4)):
+        lam, alpha = mp.mpf(lam), mp.mpf(alpha)
+        peak = v_union(one, one)
+        w = 1 / (mp.sqrt(3) * lam)
+        knots = [1 + w * 4**k for k in range(40) if w * 4**k < 1]
+        scaled = mp.quad(lambda r: 2 * pi * r**(1 - alpha)
+                         * mp.e**(lam * (peak - v_union(one, r))), [one, *knots, 2])
+        log_peak = lam * (2 * pi - peak)
+        outer = 2 * pi * 2**(2 - alpha) / (alpha - 2)
+        reference = 2 * pi / (alpha - 2)
+        log_eir = log_peak + mp.log(scaled + mp.e**(-log_peak) * outer) - mp.log(reference)
+        print(f"lambda_p={mp.nstr(lam, 3)} alpha={mp.nstr(alpha, 2)}:",
+              mp.nstr(10 * log_eir / mp.log(10), 17))
+
     print("== dense type I affine-bound EIR, delta=8, alpha=3 ==")
     # h_bound / interference_outside_2delta without lambda: the closed-form
     # transition integral through the incomplete gamma of order 2 - alpha

@@ -199,17 +199,21 @@ def _in_s(f, delta: float, end: float, quad: QuadratureConfig):
 
 def _k_prime(params: HardCoreParams, loss=None):
     """The integrand of every transition integral, as one closure of r: K'(r),
-    times ``loss(r)`` when a path loss is given. Requires delta > 0.
+    times ``loss(r)`` when a path loss is given. Returns (closure, P): the
+    integrand is closure(r) * e^P. Requires delta > 0.
 
     Every per-parameter constant is computed here once, and the closure
     evaluates a node in a single frame: the union area (``v_union``) and the
     type II retention (``pair_retention_type2``) are written inline with
     their operations in their order, so each value equals that of the
     pointwise references bit for bit. Without a loss the closure is
-    ``k_derivative`` on r >= 0: 0 below delta, 2*pi*r from 2*delta on, and
-    a ValidationError past the float range. With a loss it is the lambda-free
-    interference integrand of ``interference``, which has no guard below
-    delta and leaves an infinite value to its caller.
+    ``k_derivative`` on r >= 0 and P = 0: 0 below delta, 2*pi*r from 2*delta
+    on, and a ValidationError past the float range. With a loss it is the
+    lambda-free interference integrand of ``interference``, with no guard
+    below delta. For type I it is then scaled by its peak at r = delta, to
+    exp(lambda_p*(V(delta) - V(r))) with V(delta) in the closure's own
+    operation order, and P = lambda_p*(2*pi*delta^2 - V(delta)), so nothing
+    overflows at any density; P is 0 for type II and the Poisson hole.
     """
     delta = params.delta
     lam_p = params.lambda_p
@@ -226,8 +230,8 @@ def _k_prime(params: HardCoreParams, loss=None):
 
     if kind is ProcessKind.POISSON_HOLE:
         if loss is None:
-            return lambda r: two_pi * r if r >= delta else 0.0
-        return lambda r: two_pi * float(loss(r)) * r
+            return (lambda r: two_pi * r if r >= delta else 0.0), 0.0
+        return (lambda r: two_pi * float(loss(r)) * r), 0.0
 
     if kind is ProcessKind.MATERN_I:
         # (lambda_p/lambda)^2 * k(r) folded into one exponent, which peaks
@@ -236,13 +240,16 @@ def _k_prime(params: HardCoreParams, loss=None):
         # the last bit.
         two_disks = two_pi * delta * delta
         if loss is not None:
+            v_peak = (disk_pair - two_d2 * acos(delta / two_delta)
+                      + delta * sqrt(d2 - 0.25 * delta * delta))
+
             def integrand(r: float) -> float:
                 if r >= two_delta:
                     v = disk_pair
                 else:
                     v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
-                return two_pi * float(loss(r)) * r * exp(lam_p * (two_disks - v))
-            return integrand
+                return two_pi * float(loss(r)) * r * exp(lam_p * (v_peak - v))
+            return integrand, lam_p * (two_disks - v_peak)
 
         inf = math.inf
 
@@ -259,7 +266,7 @@ def _k_prime(params: HardCoreParams, loss=None):
             if value == inf:
                 raise _float_range_error(params, "the type I K'(r)")
             return value
-        return k_prime
+        return k_prime, 0.0
 
     # type II: pair_retention_type2's constants, and (lambda/lambda_p)^2
     area_disk = math.pi * delta * delta
@@ -289,7 +296,7 @@ def _k_prime(params: HardCoreParams, loss=None):
                     p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
                          / (den_scale * v * (v - area_disk)))
             return prefactor * float(loss(r)) * r * p
-        return integrand
+        return integrand, 0.0
 
     def k_prime(r: float) -> float:
         if r < delta:
@@ -307,7 +314,7 @@ def _k_prime(params: HardCoreParams, loss=None):
             p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
                  / (den_scale * v * (v - area_disk)))
         return two_pi * r * p / ratio_sq
-    return k_prime
+    return k_prime, 0.0
 
 
 def k_derivative(params: HardCoreParams, r: float) -> float:
@@ -328,7 +335,7 @@ def k_derivative(params: HardCoreParams, r: float) -> float:
         return 0.0
     if r >= 2.0 * delta:
         return 2.0 * math.pi * r
-    return _k_prime(params)(r)
+    return _k_prime(params)[0](r)
 
 
 def k_function(params: HardCoreParams, r: float,
@@ -352,7 +359,7 @@ def k_function(params: HardCoreParams, r: float,
     if r <= delta:
         return 0.0
     inner_end = min(r, 2.0 * delta)
-    g, lower, upper, cfg = _in_s(_k_prime(params), delta, inner_end, quad)
+    g, lower, upper, cfg = _in_s(_k_prime(params)[0], delta, inner_end, quad)
     result = integrate(g, lower, upper, cfg)
     if math.isinf(result.value):
         raise _float_range_error(params, "the K-function transition integral")

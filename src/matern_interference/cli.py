@@ -480,31 +480,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = {
-    "intensity": ["process", "lambda_p", "delta", "format"],
-    "vunion": ["delta", "u", "format"],
-    "kfun": ["process", "lambda_p", "delta", "r", "r_min", "r_max", "steps",
-             "format"],
-    "interference": ["process", "lambda_p", "delta", "alpha", "r0", "method",
-                     "replicates", "seed", "window_radius", "format"],
-    "eir": ["process", "lambda_p", "delta", "alpha", "r0", "method", "format"],
-    "bounds": ["lambda_p", "delta", "alpha", "r0", "type2", "format"],
-    "sample": ["process", "lambda_p", "delta", "seed", "window_radius", "mode",
-               "format"],
-    "figure1": ["lambda_p", "alpha", "r0", "delta_min", "delta_max", "steps",
-                "format"],
-}
-
-
 # parameters that only the Monte Carlo method of `interference` reads
 _MC_ONLY_KEYS = ("replicates", "seed", "window_radius")
 
 
 def _collect_params(args: argparse.Namespace) -> dict:
-    keys = _PARAM_KEYS[args.command]
+    """The manifest's params: every parsed option but the command and the
+    output path, without the Monte Carlo ones when nothing samples."""
+    skip = {"command", "out"}
     if args.command == "interference" and args.method != "mc":
-        keys = [key for key in keys if key not in _MC_ONLY_KEYS]
-    params = {key: getattr(args, key) for key in keys}
+        skip.update(_MC_ONLY_KEYS)
+    params = {key: value for key, value in vars(args).items() if key not in skip}
     if params.get("window_radius") is None and "window_radius" in params:
         hc = _params(params["process"], params["lambda_p"], params["delta"])
         params["window_radius"] = default_window_radius(hc)

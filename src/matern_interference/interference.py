@@ -9,15 +9,18 @@ exactly Poisson beyond twice the hard-core distance, so the mean splits into
 an adaptive-quadrature part on [delta, 2*delta] and a closed-form tail.
 
 The quadrature part uses the identity mean = lambda * integral of
-loss(r) * K'(r) dr. The integral is taken without the factor lambda, which
-for a dense type I process is so small that the quadrature's relative
-tolerance would turn into an absolute one (or lambda underflows to zero),
-and in s = sqrt(2*delta - r), where the integrand is analytic (see
-``analytic``). ``eir`` forms its ratio from these lambda-free integrals.
-The integrand is ``analytic._k_prime(params, pathloss)``, the one K'
-kernel of the package; this module holds no pair-correlation formula.
-The ratios of the affine bounds to the tail are likewise formed without
-lambda (``h_bound_over_tail``).
+loss(r) * K'(r) dr, taken without the factor lambda, which underflows for a
+dense type I process, and in s = sqrt(2*delta - r), where the integrand is
+analytic (see ``analytic``). The integrand is ``analytic._k_prime(params,
+pathloss)``, the one K' kernel of the package; this module holds no
+pair-correlation formula. For type I that kernel is scaled by its peak e^P
+at r = delta, and P is carried as a logarithm: ``eir`` forms
+ln EIR = P + ln(I~ + e^-P * outer) - ln(reference) from the scaled
+integral I~ and the closed-form integrals of the loss beyond 2*delta and
+beyond delta, so its decibels are finite at every density. The ratios of
+the affine bounds to the tail are likewise formed without lambda
+(``h_bound_over_tail``), but they leave the float range past
+lambda_p*delta^2 of about 600, where a validation error is raised.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime
 # No integrand here calls these two any more. The benchmark's tracer
@@ -43,7 +46,7 @@ from .models import (
     TabulatedPathLoss,
     intensity,
 )
-from .numerics import QuadratureConfig, integrate, upper_incomplete_gamma
+from .numerics import _QK21, QuadratureConfig, integrate, upper_incomplete_gamma
 
 __all__ = [
     "NU_TYPE2_UNIVERSAL",
@@ -62,8 +65,7 @@ __all__ = [
     "eir_type2_bound",
 ]
 
-_LOG10_E10 = 10.0 / math.log(10.0)  # multiplies a natural log into decibels
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG10_E10 = 10.0 * math.log10(math.e)  # multiplies a natural log into decibels
 
 #: Universal cap on the type II excess interference ratio, valid for every
 #: integrable radial path loss: 12*pi / (8*pi + 3*sqrt(3)) < 5/4.
@@ -111,51 +113,62 @@ def _check_power_law_cutoff(params: HardCoreParams, pathloss: PathLossModel) -> 
 
 
 def _transition_quad_config(pathloss: PathLossModel, delta: float,
-                            quad: QuadratureConfig) -> QuadratureConfig:
+                            quad: QuadratureConfig, *knots: float) -> QuadratureConfig:
+    """``quad`` with breakpoints at ``knots`` and at the table's radii
+    inside (delta, 2*delta)."""
     if isinstance(pathloss, TabulatedPathLoss):
-        knots = [r for r in pathloss.r_grid if delta < r < 2.0 * delta]
-        if knots:
-            return quad.with_breakpoints(*knots)
-    return quad
+        knots += tuple(r for r in pathloss.r_grid if delta < r < 2.0 * delta)
+    return quad.with_breakpoints(*knots) if knots else quad
 
 
-class _FloatRangeError(ValidationError):
-    """The lambda-free transition integral, or the EIR formed from it,
-    leaves the float range (a type I process with lambda_p*delta^2 > 570)."""
-
-    def __init__(self, params: HardCoreParams):
-        super().__init__(
-            "the transition integral overflows a float at lambda_p*delta^2 = "
-            f"{params.lambda_p * params.delta * params.delta:g}; the type I "
-            "approximation method stays finite in decibels")
+# how far from r = delta the first node of one Gauss-Kronrod panel over the
+# whole annulus, s in [0, sqrt(delta)], lies, in units of delta (0.0043)
+_FIRST_NODE_REACH = 1.0 - (0.5 * (1.0 + _QK21[0][0])) ** 2
 
 
 def _transition_integral(params: HardCoreParams, pathloss: PathLossModel,
-                         quad: QuadratureConfig) -> float:
-    """The lambda-free transition integral: the path loss against K'(r) over
-    [delta, 2*delta), so that the annulus' mean interference is lambda times
-    this value. Requires delta > 0.
+                         quad: QuadratureConfig) -> tuple[float, float]:
+    """(I~, P) for the lambda-free integral I = I~ * e^P of the path loss
+    against K'(r) over [delta, 2*delta), so that the annulus' mean
+    interference is lambda * I. Requires delta > 0.
 
-    Integrated in s = sqrt(2*delta - r) (see ``analytic``), where the
-    integrand is analytic. Without the factor lambda, which underflows for a
-    dense type I process, the integral is no smaller than that of
-    2*pi*r*loss(r), so the relative tolerance holds unless the path loss
-    itself is tiny across the annulus.
+    I~ integrates ``analytic._k_prime``'s kernel in s (see ``analytic``);
+    for type I it is scaled by its peak, and both values stay finite at any
+    density. Where 2*pi*loss(delta)*delta^2 is below 1, the absolute
+    tolerance is taken in units of it, so that the relative one holds for a
+    steep loss at a large delta too.
     """
     delta = params.delta
-    lam_p = params.lambda_p
-    # the exponent of K' peaks at r = delta, lambda_p*delta^2 times
-    # 2*pi/3 - sqrt(3)/2
-    if (params.kind is ProcessKind.MATERN_I and lam_p * (
-            2.0 * math.pi * delta * delta - C2_LENS * delta * delta) > _LOG_FLOAT_MAX):
-        raise _FloatRangeError(params)
-    g, lower, upper, cfg = _in_s(_k_prime(params, pathloss), delta, 2.0 * delta,
-                                 _transition_quad_config(pathloss, delta, quad))
+    kernel, log_peak = _k_prime(params, pathloss)
+    unit = 2.0 * math.pi * float(pathloss(delta)) * delta * delta
+    if unit == 0.0:  # a nonincreasing loss then vanishes on the annulus
+        return 0.0, log_peak
+    if unit < 1.0:
+        quad = replace(quad, abs_tol=quad.abs_tol * unit)
+    knots = []
+    if params.kind is ProcessKind.MATERN_I:
+        # The scaled kernel falls from r = delta like exp(-(r - delta)/w).
+        # A layer that ends short of the first node is invisible to the
+        # rule, which then reports convergence far from the value, so it
+        # is cut at delta + 4^k*w (none below lambda_p*delta^2 = 133).
+        w = 1.0 / (math.sqrt(3.0) * params.lambda_p * delta)
+        while w < _FIRST_NODE_REACH * delta:
+            knots.append(delta + w)
+            w *= 4.0
+    cfg = _transition_quad_config(pathloss, delta, quad, *knots)
+    g, lower, upper, cfg = _in_s(kernel, delta, 2.0 * delta, cfg)
     result = integrate(g, lower, upper, cfg)
-    if math.isinf(result.value):
-        raise _FloatRangeError(params)
     result.require("transition-annulus interference integral")
-    return result.value
+    return result.value, log_peak
+
+
+def _annulus_mean(params: HardCoreParams, scaled: float) -> float:
+    """lambda * e^P * I~ (``_transition_integral``), where for type I the
+    exponent of lambda * e^P, lambda_p*delta^2*(pi - C2_LENS), is < 0."""
+    if params.kind is not ProcessKind.MATERN_I:
+        return intensity(params) * scaled
+    lam_p, delta = params.lambda_p, params.delta
+    return lam_p * math.exp(lam_p * delta * delta * (math.pi - C2_LENS)) * scaled
 
 
 def mean_interference_inside_2delta(
@@ -168,12 +181,7 @@ def mean_interference_inside_2delta(
     _check_power_law_cutoff(params, pathloss)
     if params.delta == 0.0:
         return 0.0
-    try:
-        inner = _transition_integral(params, pathloss, quad)
-    except _FloatRangeError:
-        # lambda times the integral is far below the smallest float there
-        return 0.0
-    return _times_intensity(params, inner)
+    return _annulus_mean(params, _transition_integral(params, pathloss, quad)[0])
 
 
 def _times_intensity(params: HardCoreParams, value: float,
@@ -331,16 +339,16 @@ def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
 # ---------------------------------------------------------------------------
 
 
-def _report(mean_hardcore: float, mean_poisson: float, eir_linear: float,
-            method: EirMethod, log_eir: float | None = None) -> EirReport:
-    if log_eir is not None:
-        eir_db = _LOG10_E10 * log_eir
-    elif eir_linear > 0 and math.isfinite(eir_linear):
-        eir_db = _LOG10_E10 * math.log(eir_linear)
-    else:
-        eir_db = math.inf
+def _report(mean_hardcore: float, mean_poisson: float, method: EirMethod,
+            log_eir: float) -> EirReport:
+    """The report of an EIR given by its natural log; ``eir_linear`` is inf
+    once the ratio overflows, while ``eir_db`` stays finite."""
+    try:
+        eir_linear = math.exp(log_eir)
+    except OverflowError:
+        eir_linear = math.inf
     return EirReport(mean_hardcore=mean_hardcore, mean_poisson_hole=mean_poisson,
-                     eir_linear=eir_linear, eir_db=eir_db, method=method)
+                     eir_linear=eir_linear, eir_db=_LOG10_E10 * log_eir, method=method)
 
 
 def eir(params: HardCoreParams, pathloss: PathLossModel,
@@ -351,9 +359,13 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
 
     Methods: QUADRATURE computes both means (exact up to quadrature
     tolerance; the ratio is exactly 1 for the Poisson reference and at
-    delta = 0); UPPER_BOUND is the type II closed-form cap; APPROXIMATION is
-    the paper's type I closed form, which is close to quadrature only near
-    lambda_p*delta^2 = 9 (see eir_type1_approximation).
+    delta = 0), with a finite ``eir_db`` at every density: ``eir_linear``
+    is inf once the ratio overflows (type I, lambda_p*delta^2 above about
+    580), and the means underflow to 0 before that. A path loss that
+    vanishes beyond delta is a validation error. UPPER_BOUND is the type II
+    closed-form cap; APPROXIMATION is the paper's type I closed form, which
+    is close to quadrature only near lambda_p*delta^2 = 9 (see
+    eir_type1_approximation).
     """
     kind = params.kind
     if method is EirMethod.UPPER_BOUND:
@@ -364,7 +376,7 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
         mean_poisson = mean_interference_poisson_hole(params, pathloss)
         alpha = pathloss.alpha if isinstance(pathloss, PowerLawPathLoss) else None
         ratio = eir_type2_bound(alpha)
-        return _report(ratio * mean_poisson, mean_poisson, ratio, method)
+        return _report(ratio * mean_poisson, mean_poisson, method, math.log(ratio))
     if method is EirMethod.APPROXIMATION:
         if kind is not ProcessKind.MATERN_I:
             raise UnsupportedMethodError(
@@ -380,24 +392,24 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
 
     mean_poisson = mean_interference_poisson_hole(params, pathloss)
     if kind is ProcessKind.POISSON_HOLE:
-        return _report(mean_poisson, mean_poisson, 1.0, method)
+        return _report(mean_poisson, mean_poisson, method, 0.0)
     if params.delta == 0.0:
         mean_hardcore = mean_interference_quadrature(params, pathloss, quad)
-        return _report(mean_hardcore, mean_poisson, 1.0, method)
+        return _report(mean_hardcore, mean_poisson, method, 0.0)
     # both means carry the factor lambda, so the ratio is formed from
-    # lambda-free integrals; lambda underflows for a dense type I process
-    inner = _transition_integral(params, pathloss, quad)
+    # lambda-free integrals, with the type I peak e^P as a logarithm
+    scaled, log_peak = _transition_integral(params, pathloss, quad)
     outer = 2.0 * math.pi * pathloss.radial_integral(2.0 * params.delta, math.inf)
-    if isinstance(pathloss, PowerLawPathLoss):
-        # the reference mean is the tail integral stretched from 2*delta
-        # back to delta, a factor 2^(alpha-2) for a pure power law
-        ratio = (inner / outer + 1.0) / 2.0 ** (pathloss.alpha - 2.0)
-    else:
-        ratio = (inner + outer) / (
-            2.0 * math.pi * pathloss.radial_integral(params.delta, math.inf))
-    if math.isinf(ratio):
-        raise _FloatRangeError(params)
-    return _report(_times_intensity(params, inner + outer), mean_poisson, ratio, method)
+    total = scaled + math.exp(-log_peak) * outer  # (I + outer) * e^-P
+    reference = 2.0 * math.pi * pathloss.radial_integral(params.delta, math.inf)
+    if total == 0.0 or reference == 0.0:
+        where = (f"its table ends at r = {pathloss.support_end}"
+                 if isinstance(pathloss, TabulatedPathLoss) else "it underflows")
+        raise ValidationError(f"the path loss is zero beyond delta = {params.delta} "
+                              f"({where}): the EIR compares two zero means")
+    log_eir = log_peak + math.log(total) - math.log(reference)
+    mean_hardcore = _annulus_mean(params, scaled) + _times_intensity(params, outer)
+    return _report(mean_hardcore, mean_poisson, method, log_eir)
 
 
 def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
@@ -433,25 +445,11 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
                + (alpha - 2.0) * math.log(2.0)
                + lam_p * delta * delta * TYPE1_GROWTH_EXPONENT
                - math.log(lam_p * b_lower * delta * delta))
-    try:
-        eir_linear = math.exp(log_eir)
-    except OverflowError:
-        eir_linear = math.inf
-    lam = intensity(params)
-    mean_poisson = 2.0 * math.pi * lam * delta ** (2.0 - alpha) / (alpha - 2.0)
-    if math.isfinite(eir_linear):
-        mean_hardcore = eir_linear * mean_poisson
-    elif mean_poisson > 0.0:
-        # recover the product in the log domain; the ratio overflows long
-        # before the hard-core mean itself does
-        mean_hardcore = math.exp(log_eir + math.log(mean_poisson))
-    else:
-        # the reference mean underflows only when the growth term loses to
-        # the exp(-lambda_p pi delta^2) intensity factor, so the product
-        # underflows with it
-        mean_hardcore = 0.0
-    return _report(mean_hardcore, mean_poisson, eir_linear,
-                   EirMethod.APPROXIMATION, log_eir=log_eir)
+    mean_poisson = 2.0 * math.pi * intensity(params) * delta ** (2.0 - alpha) / (alpha - 2.0)
+    # the product is formed in the log domain: the ratio overflows long
+    # before the hard-core mean does, which underflows with the reference
+    mean_hardcore = math.exp(log_eir + math.log(mean_poisson)) if mean_poisson > 0.0 else 0.0
+    return _report(mean_hardcore, mean_poisson, EirMethod.APPROXIMATION, log_eir)
 
 
 def eir_type2_bound(alpha: float | None = None) -> float:

@@ -258,7 +258,7 @@ def test_k_derivative_type2_transition_zone():
 def _k_prime_reference(params, r, loss=None):
     """K'(r), times loss(r) when given, through the pointwise chain: the
     k_derivative formula without a loss, the interference integrand with
-    one."""
+    one, which for type I is scaled by its peak at r = delta."""
     delta, lam_p = params.delta, params.lambda_p
     if params.kind is ProcessKind.POISSON_HOLE:
         if loss is None:
@@ -270,9 +270,10 @@ def _k_prime_reference(params, r, loss=None):
         if r >= 2.0 * delta:
             return 2.0 * math.pi * r
     if params.kind is ProcessKind.MATERN_I:
-        exponent = lam_p * (2.0 * math.pi * delta * delta - v_union(delta, r))
         if loss is None:
+            exponent = lam_p * (2.0 * math.pi * delta * delta - v_union(delta, r))
             return 2.0 * math.pi * r * math.exp(exponent)
+        exponent = lam_p * (v_union(delta, delta) - v_union(delta, r))
         return 2.0 * math.pi * float(loss(r)) * r * math.exp(exponent)
     ratio = intensity(params) / lam_p
     if loss is None:
@@ -300,7 +301,12 @@ _KERNEL_LOSSES = {
 def test_k_prime_kernel_matches_pointwise_chain_bit_for_bit(lam_p, delta, kind, loss):
     params = HardCoreParams(lam_p, delta, kind)
     pathloss = _KERNEL_LOSSES[loss]
-    kernel = _k_prime(params, pathloss)
+    kernel, log_peak = _k_prime(params, pathloss)
+    if kind is ProcessKind.MATERN_I and pathloss is not None:
+        want_peak = lam_p * (2.0 * math.pi * delta * delta - v_union(delta, delta))
+        assert log_peak.hex() == want_peak.hex()
+    else:
+        assert log_peak == 0.0
     radii = [delta * (1.0 + k / 64.0) for k in range(64)]
     radii += [math.nextafter(2.0 * delta, 0.0), 2.0 * delta, 2.5 * delta]
     if pathloss is None:

@@ -178,11 +178,14 @@ def test_eir_quadrature_dense_type1(capsys):
                              "--lambda-p", "4", "--delta", "8", "--alpha", "3")
     assert code == 0, err
     assert math.isfinite(float(csv_rows(out)[0][0]["eir_db"]))
-    # past the float range of the pair correlation: invalid input
-    code, _, err = run_cli(capsys, "eir", "--process", "matern1",
-                           "--lambda-p", "4", "--delta", "12.1", "--alpha", "3")
-    assert code == 2
-    assert "overflows" in err
+    # past the float range of the pair correlation and of the linear ratio
+    # (lambda_p*delta^2 = 585.64) the decibels stay finite
+    code, out, err = run_cli(capsys, "eir", "--process", "matern1",
+                             "--lambda-p", "4", "--delta", "12.1", "--alpha", "3")
+    assert code == 0, err
+    row = csv_rows(out)[0][0]
+    assert row["eir_linear"] == "inf"
+    assert math.isfinite(float(row["eir_db"]))
 
 
 def test_interference_mc_row_schema(capsys):

@@ -62,6 +62,12 @@ EIR_DENSE_T1_A3_DB = {3.0: 173.98961098532681,
 INNER_DENSE_T1_A3 = {7.7: 6.9443965564229852e-200,
                      8.0: 1.3733089893237246e-215,
                      9.0: 3.0430060729802976e-272}
+# quadrature EIR of the type I process at delta = 1 past the float range of
+# the linear ratio, in dB, by (lambda_p, alpha)
+EIR_DENSE_T1_DB = {(1e3, 3.0): 5302.3520380528337,
+                   (1e4, 3.0): 53305.032160169758,
+                   (1e6, 3.0): 5334679.4328189839,
+                   (1e4, 4.0): 53308.042209427366}
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +337,48 @@ def test_inside_2delta_dense_type1_frozen(delta):
         INNER_DENSE_T1_A3[delta], rel=1e-11, abs=0.0)
 
 
-@pytest.mark.parametrize("lam_p,delta,alpha", [
-    (4.0, 12.1, 3.0),         # exp(lambda_p*(2*pi*delta^2 - V)) overflows
-    (577.5, 1.0, 3.0),        # the exponential does not, the integrand does
-    (577.5e-4, 100.0, 20.0),  # the integral does not, the ratio does
-])
-def test_eir_quadrature_rejects_overflowing_density(lam_p, delta, alpha):
-    # past lambda_p*delta^2 of about 570 the quadrature EIR leaves the float
-    # range; the approximation still reports decibels
-    params = HardCoreParams(lam_p, delta, ProcessKind.MATERN_I)
+@pytest.mark.parametrize("lam_p, alpha", sorted(EIR_DENSE_T1_DB))
+def test_eir_quadrature_dense_type1_past_float_range(lam_p, alpha):
+    # the linear ratio and the lambda-free integral overflow; the peak of
+    # the pair correlation is carried as a logarithm, so the decibels do not
     pathloss = PowerLawPathLoss(alpha)
-    with pytest.raises(ValidationError, match="overflows"):
-        eir(params, pathloss)
-    assert math.isfinite(eir(params, pathloss, EirMethod.APPROXIMATION).eir_db)
+    report = eir(HardCoreParams(lam_p, 1.0, ProcessKind.MATERN_I), pathloss)
+    assert math.isinf(report.eir_linear)
+    assert report.mean_hardcore == 0.0
+    assert report.eir_db == pytest.approx(EIR_DENSE_T1_DB[lam_p, alpha], rel=0.0, abs=1e-9)
+    # the boundary-layer knots scale with delta
+    for c in (0.1, 10.0):
+        scaled = eir(HardCoreParams(lam_p / (c * c), c, ProcessKind.MATERN_I), pathloss)
+        assert scaled.eir_db == pytest.approx(report.eir_db, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+@pytest.mark.parametrize("density", [20.0, 577.5])
+def test_eir_quadrature_steep_loss_at_large_delta(kind, density):
+    # at delta = 100 and alpha = 20 the transition integral is about 1e-40,
+    # far below the quadrature's absolute tolerance, which is therefore
+    # taken in units of the loss at delta
+    pathloss = PowerLawPathLoss(20.0)
+    want = eir(HardCoreParams(density, 1.0, kind), pathloss).eir_db
+    got = eir(HardCoreParams(density / 1e4, 100.0, kind), pathloss).eir_db
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_eir_quadrature_table_ending_within_hard_core(kind):
+    # the table vanishes past r = 0.9 < delta, so the reference mean is zero
+    tab = TabulatedPathLoss((0.1, 0.9), (1.0, 0.0))
+    params = HardCoreParams(1.0, 1.0, kind)
+    assert mean_interference_quadrature(params, tab) == 0.0
+    if kind is ProcessKind.POISSON_HOLE:
+        assert eir(params, tab).eir_linear == 1.0
+    else:
+        with pytest.raises(ValidationError, match="ends at r = 0.9"):
+            eir(params, tab)
 
 
 def test_inside_2delta_underflows_with_intensity():
-    # lambda*integral is below 1e-480 here; the lambda-free integral alone
-    # would overflow
+    # lambda*integral is below 1e-480 here; the peak-scaled integral is not
     params = HardCoreParams(4.0, 12.1, ProcessKind.MATERN_I)
     assert mean_interference_inside_2delta(params, PL3) == 0.0
     assert mean_interference_quadrature(params, PL3) == 0.0

@@ -357,9 +357,9 @@ GRID_DELTA = (0.25, 0.5, 1.0, 2.0)
 GRID_ALPHA = (2.5, 3.0, 4.0)
 
 
-def test_integrate_matches_quadpack_on_transition_annulus(monkeypatch):
-    """Every integral behind the criterion-4/5 grid (the EIR of both types
-    and K at 1.5 and 3 hard-core distances) agrees with QUADPACK."""
+def _grid_integrals(monkeypatch):
+    """(f, a, b, config, result) of every integral behind the criterion-4/5
+    grid: the EIR of both types and K at 1.5 and 3 hard-core distances."""
     calls = []
 
     def recording(f, a, b, cfg=None):
@@ -377,12 +377,26 @@ def test_integrate_matches_quadpack_on_transition_annulus(monkeypatch):
                     interference.eir(params, PowerLawPathLoss(alpha))
                     for r in (1.5 * delta, 3.0 * delta):
                         analytic.k_function(params, r)
+    return calls
+
+
+def test_integrate_matches_quadpack_on_transition_annulus(monkeypatch):
+    """Every integral behind the criterion-4/5 grid agrees with QUADPACK."""
+    calls = _grid_integrals(monkeypatch)
     assert len(calls) == 288
     for f, a, b, cfg, res in calls:
         want = quad(f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                     limit=cfg.max_subdivisions)[0]
         assert res.converged
         assert res.value == pytest.approx(want, rel=1e-10), (a, b)
+
+
+def test_grid_integrals_panel_budget(monkeypatch):
+    """The 288 grid integrals take at most 397 Gauss-Kronrod panels in all:
+    a deterministic stand-in for the analytic sweep's calls per second."""
+    calls = _grid_integrals(monkeypatch)
+    assert len(calls) == 288
+    assert sum(res.subdivisions_used for *_, res in calls) <= 397
 
 
 _POINT = ["--lambda-p", "2", "--delta", "2", "--alpha", "3"]
