@@ -19,6 +19,7 @@ import warnings
 
 from matern_interference.analytic import affine_v_bounds
 from matern_interference.interference import (
+    _LOG10_E10,
     eir,
     eir_type2_bound,
     eir_type1_approximation,
@@ -26,14 +27,12 @@ from matern_interference.interference import (
 )
 from matern_interference.models import HardCoreParams, PowerLawPathLoss, ProcessKind
 
-_DB = 10.0 / math.log(10.0)
-
 FIELDS = ["delta", "type1_db", "type1_lower_db", "type1_upper_db",
           "type1_approx_db", "type2_db", "type2_cap_db"]
 
 
 def db(x: float) -> float:
-    return _DB * math.log(x)
+    return _LOG10_E10 * math.log(x)
 
 
 def sweep_row(lambda_p: float, delta: float, alpha: float) -> dict:

@@ -23,6 +23,28 @@ def v_union(delta, u):
             + u * mp.sqrt(delta**2 - u**2 / 4))
 
 
+def dense_type1_eir_db(lam, alpha):
+    """Type I EIR in dB at delta = 1 by quadrature of the exact kernel.
+
+    ln EIR = P + ln(I~ + e^-P * outer) - ln(reference), with the kernel
+    scaled by its peak e^P at r = delta; it falls from there over
+    w = 1/(sqrt(3) lambda_p delta), so the quadrature is cut at
+    delta + 4^k w.
+    """
+    pi, one = mp.pi, mp.mpf(1)
+    lam, alpha = mp.mpf(lam), mp.mpf(alpha)
+    peak = v_union(one, one)
+    w = 1 / (mp.sqrt(3) * lam)
+    knots = [1 + w * 4**k for k in range(40) if w * 4**k < 1]
+    scaled = mp.quad(lambda r: 2 * pi * r**(1 - alpha)
+                     * mp.e**(lam * (peak - v_union(one, r))), [one, *knots, 2])
+    log_peak = lam * (2 * pi - peak)
+    outer = 2 * pi * 2**(2 - alpha) / (alpha - 2)
+    reference = 2 * pi / (alpha - 2)
+    log_eir = log_peak + mp.log(scaled + mp.e**(-log_peak) * outer) - mp.log(reference)
+    return 10 * log_eir / mp.log(10)
+
+
 def main() -> None:
     pi = mp.pi
 
@@ -98,24 +120,14 @@ def main() -> None:
         print(f"delta={mp.nstr(d, 3)}:", mp.nstr(lam_type1 * inner, 17))
 
     print("== dense type I EIR by quadrature, delta=1 (dB) ==")
-    # ln EIR = P + ln(I~ + e^-P * outer) - ln(reference), with the kernel
-    # scaled by its peak e^P at r = delta; it falls from there over
-    # w = 1/(sqrt(3) lambda_p delta), so the quadrature is cut at
-    # delta + 4^k w
-    one = mp.mpf(1)
     for lam, alpha in (("1e3", 3), ("1e4", 3), ("1e6", 3), ("1e4", 4)):
-        lam, alpha = mp.mpf(lam), mp.mpf(alpha)
-        peak = v_union(one, one)
-        w = 1 / (mp.sqrt(3) * lam)
-        knots = [1 + w * 4**k for k in range(40) if w * 4**k < 1]
-        scaled = mp.quad(lambda r: 2 * pi * r**(1 - alpha)
-                         * mp.e**(lam * (peak - v_union(one, r))), [one, *knots, 2])
-        log_peak = lam * (2 * pi - peak)
-        outer = 2 * pi * 2**(2 - alpha) / (alpha - 2)
-        reference = 2 * pi / (alpha - 2)
-        log_eir = log_peak + mp.log(scaled + mp.e**(-log_peak) * outer) - mp.log(reference)
-        print(f"lambda_p={mp.nstr(lam, 3)} alpha={mp.nstr(alpha, 2)}:",
-              mp.nstr(10 * log_eir / mp.log(10), 17))
+        print(f"lambda_p={lam} alpha={alpha}:",
+              mp.nstr(dense_type1_eir_db(lam, alpha), 17))
+
+    print("== type I EIR where the boundary layer passes the first node, delta=1 (dB) ==")
+    for lam, alpha in (("2200", 3), ("3000", 3), ("5000", 3), ("8500", 3), ("3000", 6)):
+        print(f"lambda_p={lam} alpha={alpha}:",
+              mp.nstr(dense_type1_eir_db(lam, alpha), 17))
 
     print("== dense type I affine-bound EIR, delta=8, alpha=3 ==")
     # h_bound / interference_outside_2delta without lambda: the closed-form

@@ -22,7 +22,6 @@ in one frame; the pointwise ``v_union``, ``pair_retention_type2`` and
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
@@ -33,7 +32,6 @@ from .numerics import QuadratureConfig, integrate
 __all__ = [
     "C1_KBOUND",
     "C2_LENS",
-    "BoundSide",
     "AffineVBound",
     "v_union",
     "affine_v_bounds",
@@ -75,24 +73,17 @@ def v_union(delta: float, u: float) -> float:
             + u * math.sqrt(lens_height_sq))
 
 
-class BoundSide(enum.Enum):
-    LOWER_ON_V = "lower_on_v"
-    UPPER_ON_V = "upper_on_v"
-
-
 @dataclass(frozen=True)
 class AffineVBound:
     """Affine comparison line for the union area on ``delta < r < 2*delta``.
 
-    Encodes V(r) compared against ``(pi + a)*delta**2 + b*delta*r``; ``side``
-    says which way the comparison goes. The union area is concave in r on
-    the transition interval, so its tangent lies above it and its chord lies
-    below it.
+    Encodes V(r) compared against ``(pi + a)*delta**2 + b*delta*r``. The
+    union area is concave in r on the transition interval, so its tangent
+    lies above it and its chord lies below it.
     """
 
     a: float
     b: float
-    side: BoundSide
 
     def evaluate(self, delta: float, r: float) -> float:
         return (math.pi + self.a) * delta * delta + self.b * delta * r
@@ -104,16 +95,10 @@ def affine_v_bounds() -> tuple[AffineVBound, AffineVBound]:
     Lower line: chord through the exact values at r = delta and r = 2*delta.
     Upper line: tangent at r = 3*delta/2.
     """
-    lower = AffineVBound(
-        a=_SQRT3 - math.pi / 3.0,
-        b=2.0 * math.pi / 3.0 - _SQRT3 / 2.0,
-        side=BoundSide.LOWER_ON_V,
-    )
-    upper = AffineVBound(
-        a=2.0 * math.asin(0.75) - 3.0 * _SQRT7 / 8.0,
-        b=_SQRT7 / 2.0,
-        side=BoundSide.UPPER_ON_V,
-    )
+    lower = AffineVBound(a=_SQRT3 - math.pi / 3.0,
+                         b=2.0 * math.pi / 3.0 - _SQRT3 / 2.0)
+    upper = AffineVBound(a=2.0 * math.asin(0.75) - 3.0 * _SQRT7 / 8.0,
+                         b=_SQRT7 / 2.0)
     return lower, upper
 
 
@@ -189,7 +174,7 @@ def _in_s(f, delta: float, end: float, quad: QuadratureConfig):
         return 2.0 * s * f(two_delta - s * s)
 
     lower, upper = math.sqrt(two_delta - end), math.sqrt(delta)
-    # no knots to map (every power-law call): the config is used as it is
+    # no knots to map (k_function; a power law, but for dense type I)
     if not quad.breakpoints:
         return g, lower, upper, quad
     knots = sorted({math.sqrt(two_delta - b)
@@ -338,8 +323,7 @@ def k_derivative(params: HardCoreParams, r: float) -> float:
     return _k_prime(params)[0](r)
 
 
-def k_function(params: HardCoreParams, r: float,
-               quad: QuadratureConfig = QuadratureConfig()) -> float:
+def k_function(params: HardCoreParams, r: float) -> float:
     """Expected number of further points within distance r of a typical
     point, normalized by intensity.
 
@@ -359,7 +343,8 @@ def k_function(params: HardCoreParams, r: float,
     if r <= delta:
         return 0.0
     inner_end = min(r, 2.0 * delta)
-    g, lower, upper, cfg = _in_s(_k_prime(params)[0], delta, inner_end, quad)
+    g, lower, upper, cfg = _in_s(_k_prime(params)[0], delta, inner_end,
+                                 QuadratureConfig())
     result = integrate(g, lower, upper, cfg)
     if math.isinf(result.value):
         raise _float_range_error(params, "the K-function transition integral")

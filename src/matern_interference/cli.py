@@ -29,6 +29,7 @@ from . import __version__
 from .analytic import affine_v_bounds, k_derivative, k_function, v_union
 from .errors import ToleranceError, ValidationError
 from .interference import (
+    _LOG10_E10,
     EirMethod,
     eir,
     eir_type1_approximation,
@@ -46,21 +47,6 @@ from .models import (
     default_window_radius,
     intensity,
 )
-
-_PROCESS_BY_FLAG = {
-    "poisson": ProcessKind.POISSON_HOLE,
-    "matern1": ProcessKind.MATERN_I,
-    "matern2": ProcessKind.MATERN_II,
-}
-
-_EIR_METHOD_BY_FLAG = {
-    "quadrature": EirMethod.QUADRATURE,
-    "upper-bound": EirMethod.UPPER_BOUND,
-    "approximation": EirMethod.APPROXIMATION,
-}
-
-_DB = 10.0 / math.log(10.0)
-
 
 @dataclass
 class RunManifest:
@@ -116,24 +102,21 @@ def _write(text: str, out_path: Optional[str]) -> None:
 
 
 def _params(process: str, lambda_p: float, delta: float) -> HardCoreParams:
-    if process not in _PROCESS_BY_FLAG:
-        raise ValidationError(f"unknown process {process!r}")
     if lambda_p is None or delta is None:
         raise ValidationError("--lambda-p and --delta are required here")
     return HardCoreParams(lambda_p=lambda_p, delta=delta,
-                          kind=_PROCESS_BY_FLAG[process])
+                          kind=ProcessKind(process))
 
 
 def _pathloss(alpha: float, r0: float) -> PowerLawPathLoss:
-    if alpha is None:
-        raise ValidationError("--alpha is required here")
     return PowerLawPathLoss(alpha=alpha, r0=r0 or 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Command implementations: dict of parameters -> (rows, fieldnames).
 # They take plain dicts (not argparse namespaces) so `rerun` can feed them
-# straight from a parsed manifest.
+# straight from a parsed manifest, once _check_manifest_params has held it
+# to the command's own flags.
 # ---------------------------------------------------------------------------
 
 
@@ -159,18 +142,17 @@ def _run_vunion(p: dict):
 
 def _run_kfun(p: dict):
     params = _params(p["process"], p["lambda_p"], p["delta"])
-    if p.get("r") is not None:
+    if p["r"] is not None:
         radii = [p["r"]]
     else:
-        r_max = p.get("r_max")
+        r_max = p["r_max"]
         if r_max is None:
             if params.delta <= 0:
                 raise ValidationError(
                     "with delta = 0 there is no natural radius scale; "
                     "pass --r or --r-max")
             r_max = 4.0 * params.delta
-        r_min = p.get("r_min") or 0.0
-        steps = p.get("steps") or 25
+        r_min, steps = p["r_min"], p["steps"]
         if steps < 1 or r_max < r_min:
             raise ValidationError("need steps >= 1 and r-max >= r-min")
         radii = [r_min + (r_max - r_min) * i / max(steps - 1, 1)
@@ -198,8 +180,6 @@ def _run_interference(p: dict):
         row = dict(base, mean=mean_interference_quadrature(params, pathloss))
         fields = list(base) + ["mean"]
         return [row], fields
-    if p["method"] != "mc":
-        raise ValidationError(f"unknown interference method {p['method']!r}")
     from .simulate import SimulationConfig, estimate_mean_interference
 
     cfg = SimulationConfig(
@@ -225,10 +205,7 @@ def _run_interference(p: dict):
 def _run_eir(p: dict):
     params = _params(p["process"], p["lambda_p"], p["delta"])
     pathloss = _pathloss(p["alpha"], p["r0"])
-    method = _EIR_METHOD_BY_FLAG.get(p["method"])
-    if method is None:
-        raise ValidationError(f"unknown EIR method {p['method']!r}")
-    report = eir(params, pathloss, method)
+    report = eir(params, pathloss, EirMethod(p["method"]))
     rows = [{
         "process": p["process"],
         "lambda_p": p["lambda_p"],
@@ -247,22 +224,19 @@ def _run_eir(p: dict):
 
 def _run_bounds(p: dict):
     fields = ["quantity", "value"]
-    if p.get("type2"):
-        alpha = p["alpha"]
-        if alpha is None:
-            raise ValidationError("--alpha is required for the type II bounds")
-        sharpened = eir_type2_bound(alpha)
+    if p["type2"]:
+        sharpened = eir_type2_bound(p["alpha"])
         rows = [
             {"quantity": "type2_universal_bound_linear", "value": NU_TYPE2_UNIVERSAL},
             {"quantity": "type2_universal_bound_db",
-             "value": _DB * math.log(NU_TYPE2_UNIVERSAL)},
+             "value": _LOG10_E10 * math.log(NU_TYPE2_UNIVERSAL)},
             {"quantity": "type2_powerlaw_bound_linear", "value": sharpened},
             {"quantity": "type2_powerlaw_bound_db",
-             "value": _DB * math.log(sharpened)},
+             "value": _LOG10_E10 * math.log(sharpened)},
         ]
         return rows, fields
     params = _params("matern1", p["lambda_p"], p["delta"])
-    pathloss = _pathloss(p["alpha"], p.get("r0") or 0.0)
+    pathloss = _pathloss(p["alpha"], p["r0"])
     lower_on_v, upper_on_v = affine_v_bounds()
     h_low = h_bound(params, pathloss, upper_on_v)   # upper line on V -> lower bound
     h_high = h_bound(params, pathloss, lower_on_v)  # chord on V -> upper bound
@@ -278,9 +252,9 @@ def _run_bounds(p: dict):
         {"quantity": "transition_interference_upper", "value": h_high},
         {"quantity": "interference_beyond_2delta", "value": outside},
         {"quantity": "eir_lower_linear", "value": eir_low},
-        {"quantity": "eir_lower_db", "value": _DB * math.log(eir_low)},
+        {"quantity": "eir_lower_db", "value": _LOG10_E10 * math.log(eir_low)},
         {"quantity": "eir_upper_linear", "value": eir_high},
-        {"quantity": "eir_upper_db", "value": _DB * math.log(eir_high)},
+        {"quantity": "eir_upper_db", "value": _LOG10_E10 * math.log(eir_high)},
         {"quantity": "eir_approximation_linear", "value": approx.eir_linear},
         {"quantity": "eir_approximation_db", "value": approx.eir_db},
     ]
@@ -301,13 +275,9 @@ def _run_sample(p: dict):
         cfg = SimulationConfig(window_radius=p["window_radius"],
                                replicates=1, seed=p["seed"])
         pattern = sample_palm(params, cfg)
-    elif p["mode"] == "window":
-        rng = replicate_rng(p["seed"], 0)
-        parent = sample_parent(params.lambda_p, p["window_radius"], rng,
-                               with_marks=params.kind is ProcessKind.MATERN_II)
-        pattern = thin(parent, params)
     else:
-        raise ValidationError(f"unknown sample mode {p['mode']!r}")
+        rng = replicate_rng(p["seed"], 0)
+        pattern = thin(sample_parent(params, p["window_radius"], rng), params)
     rows = [{
         "x": float(x),
         "y": float(y),
@@ -380,10 +350,9 @@ def _add_output_flags(sp) -> None:
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
 
-def _add_process_flags(sp, default_process: Optional[str] = None) -> None:
-    sp.add_argument("--process", choices=sorted(_PROCESS_BY_FLAG),
-                    default=default_process,
-                    required=default_process is None)
+def _add_process_flags(sp) -> None:
+    sp.add_argument("--process", choices=sorted(k.value for k in ProcessKind),
+                    required=True)
     sp.add_argument("--lambda-p", dest="lambda_p", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
 
@@ -436,9 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eir", help="excess interference ratio")
     _add_process_flags(sp)
     _add_pathloss_flags(sp)
-    sp.add_argument("--method",
-                    choices=["quadrature", "upper-bound", "approximation"],
-                    default="quadrature")
+    sp.add_argument("--method", choices=[m.value for m in EirMethod],
+                    default=EirMethod.QUADRATURE.value)
     _add_output_flags(sp)
 
     sp = sub.add_parser("bounds",
@@ -497,7 +465,43 @@ def _collect_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _run_rerun(args: argparse.Namespace) -> None:
+def _check_manifest_params(parser: argparse.ArgumentParser, command: str,
+                           params) -> None:
+    """Hold a manifest's params to the flags of its command: the keys
+    ``_collect_params`` records, each value of the type its flag parses to
+    and among its choices. A non-Monte Carlo ``interference`` manifest may
+    still carry the Monte Carlo keys, as files written before they left it
+    do."""
+    if not isinstance(params, dict):
+        raise ValidationError("manifest params must be a JSON object")
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in subparsers.choices[command]._actions
+             if a.dest not in ("help", "out")}
+    optional = set()
+    if command == "interference" and params.get("method") != "mc":
+        optional.update(_MC_ONLY_KEYS)
+    missing = sorted(set(flags) - optional - set(params))
+    unknown = sorted(set(params) - set(flags))
+    if missing or unknown:
+        raise ValidationError(f"manifest params of {command!r}: missing "
+                              f"{missing}, unknown {unknown}")
+    for key, value in params.items():
+        flag = flags[key]
+        if value is None and flag.default is None and not flag.required:
+            continue
+        if flag.choices is not None:
+            valid = value in flag.choices
+        else:
+            want = flag.type or type(flag.default)
+            valid = type(value) is want or (want is float and type(value) is int)
+        if not valid:
+            raise ValidationError(
+                f"manifest param {key}={value!r} is not a valid value of "
+                f"{flag.option_strings[0]}")
+
+
+def _run_rerun(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         first = fh.readline()
     if not first.startswith("# "):
@@ -511,7 +515,8 @@ def _run_rerun(args: argparse.Namespace) -> None:
         raise ValidationError(f"malformed manifest line: {exc}") from exc
     if command not in _RUNNERS:
         raise ValidationError(f"manifest names unknown command {command!r}")
-    _execute(command, params, params.get("format", "csv"), args.out)
+    _check_manifest_params(parser, command, params)
+    _execute(command, params, params["format"], args.out)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -519,11 +524,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            _run_rerun(args)
+            _run_rerun(args, parser)
         else:
             params = _collect_params(args)
-            _execute(args.command, params, params.get("format", "csv"),
-                     args.out)
+            _execute(args.command, params, params["format"], args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

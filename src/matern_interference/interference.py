@@ -113,12 +113,12 @@ def _check_power_law_cutoff(params: HardCoreParams, pathloss: PathLossModel) -> 
 
 
 def _transition_quad_config(pathloss: PathLossModel, delta: float,
-                            quad: QuadratureConfig, *knots: float) -> QuadratureConfig:
-    """``quad`` with breakpoints at ``knots`` and at the table's radii
-    inside (delta, 2*delta)."""
+                            *knots: float) -> QuadratureConfig:
+    """The default quadrature config with breakpoints at ``knots`` and at
+    the table's radii inside (delta, 2*delta)."""
     if isinstance(pathloss, TabulatedPathLoss):
         knots += tuple(r for r in pathloss.r_grid if delta < r < 2.0 * delta)
-    return quad.with_breakpoints(*knots) if knots else quad
+    return QuadratureConfig().with_breakpoints(*knots)
 
 
 # how far from r = delta the first node of one Gauss-Kronrod panel over the
@@ -126,8 +126,8 @@ def _transition_quad_config(pathloss: PathLossModel, delta: float,
 _FIRST_NODE_REACH = 1.0 - (0.5 * (1.0 + _QK21[0][0])) ** 2
 
 
-def _transition_integral(params: HardCoreParams, pathloss: PathLossModel,
-                         quad: QuadratureConfig) -> tuple[float, float]:
+def _transition_integral(params: HardCoreParams,
+                         pathloss: PathLossModel) -> tuple[float, float]:
     """(I~, P) for the lambda-free integral I = I~ * e^P of the path loss
     against K'(r) over [delta, 2*delta), so that the annulus' mean
     interference is lambda * I. Requires delta > 0.
@@ -143,19 +143,24 @@ def _transition_integral(params: HardCoreParams, pathloss: PathLossModel,
     unit = 2.0 * math.pi * float(pathloss(delta)) * delta * delta
     if unit == 0.0:  # a nonincreasing loss then vanishes on the annulus
         return 0.0, log_peak
-    if unit < 1.0:
-        quad = replace(quad, abs_tol=quad.abs_tol * unit)
     knots = []
     if params.kind is ProcessKind.MATERN_I:
         # The scaled kernel falls from r = delta like exp(-(r - delta)/w).
         # A layer that ends short of the first node is invisible to the
         # rule, which then reports convergence far from the value, so it
-        # is cut at delta + 4^k*w (none below lambda_p*delta^2 = 133).
+        # is cut at delta + 4^k*w (none below lambda_p*delta^2 = 133):
+        # through 64w, which leaves e^-64 of it beyond the last knot, and
+        # on while 4^k*w is below the reach.
         w = 1.0 / (math.sqrt(3.0) * params.lambda_p * delta)
+        if w < _FIRST_NODE_REACH * delta:
+            knots = [delta + w * 4.0**k for k in range(4)]
+            w *= 256.0
         while w < _FIRST_NODE_REACH * delta:
             knots.append(delta + w)
             w *= 4.0
-    cfg = _transition_quad_config(pathloss, delta, quad, *knots)
+    cfg = _transition_quad_config(pathloss, delta, *knots)
+    if unit < 1.0:
+        cfg = replace(cfg, abs_tol=cfg.abs_tol * unit)
     g, lower, upper, cfg = _in_s(kernel, delta, 2.0 * delta, cfg)
     result = integrate(g, lower, upper, cfg)
     result.require("transition-annulus interference integral")
@@ -171,17 +176,15 @@ def _annulus_mean(params: HardCoreParams, scaled: float) -> float:
     return lam_p * math.exp(lam_p * delta * delta * (math.pi - C2_LENS)) * scaled
 
 
-def mean_interference_inside_2delta(
-        params: HardCoreParams,
-        pathloss: PathLossModel,
-        quad: QuadratureConfig = QuadratureConfig()) -> float:
+def mean_interference_inside_2delta(params: HardCoreParams,
+                                    pathloss: PathLossModel) -> float:
     """Mean interference received from the transition annulus
     delta <= ||x|| < 2*delta, by adaptive quadrature of the exact pair
     correlation. Zero when delta = 0."""
     _check_power_law_cutoff(params, pathloss)
     if params.delta == 0.0:
         return 0.0
-    return _annulus_mean(params, _transition_integral(params, pathloss, quad)[0])
+    return _annulus_mean(params, _transition_integral(params, pathloss)[0])
 
 
 def _times_intensity(params: HardCoreParams, value: float,
@@ -209,10 +212,8 @@ def interference_outside_2delta(params: HardCoreParams,
         params, pathloss.radial_integral(2.0 * params.delta, math.inf), 2.0 * math.pi)
 
 
-def mean_interference_quadrature(
-        params: HardCoreParams,
-        pathloss: PathLossModel,
-        quad: QuadratureConfig = QuadratureConfig()) -> float:
+def mean_interference_quadrature(params: HardCoreParams,
+                                 pathloss: PathLossModel) -> float:
     """Total mean interference at the typical point.
 
     Sum of the transition-annulus quadrature and the exact Poisson tail from
@@ -223,7 +224,7 @@ def mean_interference_quadrature(
     _check_power_law_cutoff(params, pathloss)
     if params.delta == 0.0:
         return 2.0 * math.pi * params.lambda_p * pathloss.radial_integral(0.0, math.inf)
-    inner = mean_interference_inside_2delta(params, pathloss, quad)
+    inner = mean_interference_inside_2delta(params, pathloss)
     return inner + interference_outside_2delta(params, pathloss)
 
 
@@ -293,7 +294,7 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
     def integrand(r: float) -> float:
         return float(pathloss(r)) * r * math.exp(-rate * r)
 
-    cfg = _transition_quad_config(pathloss, delta, QuadratureConfig())
+    cfg = _transition_quad_config(pathloss, delta)
     result = integrate(integrand, delta, 2.0 * delta, cfg)
     result.require("affine-bound interference integral")
     return prefactor * result.value
@@ -352,8 +353,7 @@ def _report(mean_hardcore: float, mean_poisson: float, method: EirMethod,
 
 
 def eir(params: HardCoreParams, pathloss: PathLossModel,
-        method: EirMethod = EirMethod.QUADRATURE,
-        quad: QuadratureConfig = QuadratureConfig()) -> EirReport:
+        method: EirMethod = EirMethod.QUADRATURE) -> EirReport:
     """Excess interference ratio: mean interference of the process divided
     by that of the matched-intensity Poisson reference with a hole.
 
@@ -394,11 +394,11 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     if kind is ProcessKind.POISSON_HOLE:
         return _report(mean_poisson, mean_poisson, method, 0.0)
     if params.delta == 0.0:
-        mean_hardcore = mean_interference_quadrature(params, pathloss, quad)
+        mean_hardcore = mean_interference_quadrature(params, pathloss)
         return _report(mean_hardcore, mean_poisson, method, 0.0)
     # both means carry the factor lambda, so the ratio is formed from
     # lambda-free integrals, with the type I peak e^P as a logarithm
-    scaled, log_peak = _transition_integral(params, pathloss, quad)
+    scaled, log_peak = _transition_integral(params, pathloss)
     outer = 2.0 * math.pi * pathloss.radial_integral(2.0 * params.delta, math.inf)
     total = scaled + math.exp(-log_peak) * outer  # (I + outer) * e^-P
     reference = 2.0 * math.pi * pathloss.radial_integral(params.delta, math.inf)

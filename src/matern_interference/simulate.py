@@ -96,16 +96,16 @@ class TailPolicy(enum.Enum):
 class SimulationConfig:
     """Window, replication and stream parameters for one Monte Carlo run.
 
-    ``guard`` is the margin (at least the hard-core distance) kept between
-    counted points and the window edge so thinning decisions are exact; when
-    None it defaults to the hard-core distance of the paired parameters.
-    The window must satisfy window_radius >= 2*delta + guard.
+    The window must reach three hard-core distances of the paired
+    parameters, window_radius >= 3*delta: the transition annulus out to
+    2*delta, and a margin of delta that ``estimate_intensity`` keeps between
+    the points it counts and the window edge, so that their thinning saw
+    every competitor.
     """
 
     window_radius: float
     replicates: int = 1000
     seed: int = 0
-    guard: Optional[float] = None
     fading: FadingModel = FadingModel()
     tail_policy: TailPolicy = TailPolicy.ANALYTIC_TAIL
 
@@ -116,21 +116,13 @@ class SimulationConfig:
             raise ValidationError("replicates must be an integer >= 1")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ValidationError("seed must be an unsigned 64-bit integer")
-        if self.guard is not None and not (self.guard >= 0 and math.isfinite(self.guard)):
-            raise ValidationError("guard must be >= 0")
 
 
-def _resolve_guard(params: HardCoreParams, cfg: SimulationConfig) -> float:
-    guard = params.delta if cfg.guard is None else cfg.guard
-    if guard < params.delta:
-        raise ValidationError(
-            f"guard={guard} is below the hard-core distance {params.delta}; "
-            "thinning near the window edge would be unreliable")
-    if cfg.window_radius < 2.0 * params.delta + guard:
+def _check_window(params: HardCoreParams, cfg: SimulationConfig) -> None:
+    if cfg.window_radius < 3.0 * params.delta:
         raise ValidationError(
             f"window_radius={cfg.window_radius} is too small; need at least "
-            f"2*delta + guard = {2.0 * params.delta + guard}")
-    return guard
+            f"3*delta = {3.0 * params.delta}")
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -155,18 +147,19 @@ def _polar_points(rsq: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-def sample_parent(lambda_p: float, r_outer: float, rng: np.random.Generator,
-                  r_inner: float = 0.0, with_marks: bool = False) -> PointPattern:
-    """Poisson pattern of intensity lambda_p on the disk of radius r_outer,
-    or on the annulus (r_inner, r_outer) when r_inner > 0."""
-    if not lambda_p > 0:
-        raise ValidationError("lambda_p must be > 0")
-    if not (0 <= r_inner <= r_outer and math.isfinite(r_outer)):
-        raise ValidationError("need 0 <= r_inner <= r_outer < inf")
-    area = math.pi * (r_outer * r_outer - r_inner * r_inner)
-    n = int(rng.poisson(lambda_p * area)) if area > 0 else 0
-    points = _polar_points(*_uniform_in_annulus(rng, r_inner, r_outer, n))
-    marks = rng.uniform(0.0, 1.0, n) if with_marks else None
+def sample_parent(params: HardCoreParams, r_outer: float,
+                  rng: np.random.Generator) -> PointPattern:
+    """Parent Poisson pattern of intensity params.lambda_p on the disk of
+    radius r_outer, ready for ``thin``: its points carry uniform marks iff
+    params.kind is type II. The draw order is count, squared radii, angles,
+    marks."""
+    if not (0 <= r_outer < math.inf):
+        raise ValidationError("need 0 <= r_outer < inf")
+    area = math.pi * (r_outer * r_outer)
+    n = int(rng.poisson(params.lambda_p * area)) if area > 0 else 0
+    points = _polar_points(*_uniform_in_annulus(rng, 0.0, r_outer, n))
+    marks = (rng.uniform(0.0, 1.0, n) if params.kind is ProcessKind.MATERN_II
+             else None)
     window = r_outer if r_outer > 0 else 1.0
     return PointPattern(points=points, window_radius=window, marks=marks)
 
@@ -316,7 +309,7 @@ def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
     II origin's mark competes in the thinning, and type II survivors carry
     their marks. run_palm_ensemble reproduces this replicate by replicate,
     bit for bit."""
-    _resolve_guard(params, cfg)
+    _check_window(params, cfg)
     rng = replicate_rng(cfg.seed, replicate)
     rsq, theta, marks, origin_mark = _draw_palm_parent(params, cfg, rng)
     points = _polar_points(rsq, theta)
@@ -367,7 +360,7 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     # imported here, like scipy.spatial, to keep it off the CLI's cold start
     from concurrent.futures import ThreadPoolExecutor
 
-    _resolve_guard(params, cfg)
+    _check_window(params, cfg)
     size = _chunk_replicates(params, cfg)
     starts = range(0, cfg.replicates, size)
     with ThreadPoolExecutor(max_workers=_ensemble_threads(len(starts))) as pool:
@@ -564,22 +557,17 @@ def estimate_k_function(ens: PalmEnsemble,
 def estimate_intensity(params: HardCoreParams,
                        cfg: SimulationConfig) -> tuple[float, float]:
     """(intensity, standard error) by thinning parent patterns in a disk
-    window and counting points at least `guard` inside the edge, where the
+    window and counting points at least delta inside the edge, where the
     thinning decision is exact."""
-    guard = _resolve_guard(params, cfg)
-    r_window = cfg.window_radius
-    core_radius = r_window - guard
-    if core_radius <= 0:
-        raise ValidationError("guard leaves no interior to count")
+    _check_window(params, cfg)
+    core_radius = cfg.window_radius - params.delta
     core_area = math.pi * core_radius * core_radius
-    needs_marks = params.kind is ProcessKind.MATERN_II
     values = np.empty(cfg.replicates)
     for k in range(cfg.replicates):
         rng = replicate_rng(cfg.seed, k)
-        parent = sample_parent(params.lambda_p, r_window, rng,
-                               with_marks=needs_marks)
-        thinned = thin(parent, params)
-        values[k] = np.count_nonzero(reliable_mask(thinned, guard)) / core_area
+        thinned = thin(sample_parent(params, cfg.window_radius, rng), params)
+        values[k] = (np.count_nonzero(reliable_mask(thinned, params.delta))
+                     / core_area)
     mean = float(np.mean(values))
     std_error = (float(np.std(values, ddof=1) / math.sqrt(cfg.replicates))
                  if cfg.replicates > 1 else 0.0)

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from matern_interference.analytic import (
     _k_prime,
     AffineVBound,
-    BoundSide,
     C2_LENS,
     affine_v_bounds,
     k2delta_lower_bound,
@@ -31,7 +30,7 @@ from matern_interference.models import (
     TabulatedPathLoss,
     intensity,
 )
-from matern_interference.numerics import QuadratureConfig, integrate
+from matern_interference.numerics import integrate
 
 P21_T1 = HardCoreParams(2.0, 1.0, ProcessKind.MATERN_I)
 P21_T2 = HardCoreParams(2.0, 1.0, ProcessKind.MATERN_II)
@@ -100,8 +99,6 @@ def test_v_union_monotone_and_smooth_at_saturation():
 
 def test_affine_bound_constants_frozen():
     lower, upper = affine_v_bounds()
-    assert lower.side is BoundSide.LOWER_ON_V
-    assert upper.side is BoundSide.UPPER_ON_V
     assert lower.a == pytest.approx(CHORD_A, rel=1e-14)
     assert lower.b == pytest.approx(CHORD_B, rel=1e-14)
     assert upper.a == pytest.approx(TANGENT_A, rel=1e-14)
@@ -136,7 +133,7 @@ def test_affine_lines_sandwich_v_on_transition_interval(delta):
 
 
 def test_affine_bound_evaluate_formula():
-    line = AffineVBound(a=0.5, b=2.0, side=BoundSide.LOWER_ON_V)
+    line = AffineVBound(a=0.5, b=2.0)
     assert line.evaluate(2.0, 3.0) == pytest.approx(
         (math.pi + 0.5) * 4.0 + 2.0 * 2.0 * 3.0, rel=1e-14)
 
@@ -350,17 +347,6 @@ def test_k_function_continuous_and_increasing():
     # continuity across the 2*delta seam
     assert k_function(P21_T2, 2.0 - 1e-9) == pytest.approx(
         k_function(P21_T2, 2.0 + 1e-9), rel=1e-6)
-
-
-@pytest.mark.parametrize("r", [1.2, 1.7, 2.0, 3.0])
-def test_k_function_ignores_breakpoints(r):
-    # the transition integral maps breakpoints inside (delta, r) to
-    # s = sqrt(2*delta - b) and drops the rest (here 0.5, 2.5 and 3.5, and
-    # those past r); a smooth integrand gives the same value either way
-    cfg = QuadratureConfig(breakpoints=(0.5, 1.1, 1.25, 1.5, 1.9, 2.5, 3.5))
-    for params in (P21_T1, P21_T2):
-        assert k_function(params, r, cfg) == pytest.approx(
-            k_function(params, r), rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])

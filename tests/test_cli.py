@@ -238,6 +238,15 @@ def test_kfun_delta_zero_needs_explicit_scale(capsys):
     assert [float(r["r"]) for r in rows] == [0.0, 1.0, 2.0]
 
 
+def test_kfun_zero_steps_exits_2(capsys):
+    # like figure1, a grid of no radii is invalid input, not the default 25
+    code, out, err = run_cli(capsys, "kfun", "--process", "matern2",
+                             "--lambda-p", "2", "--delta", "1", "--steps", "0")
+    assert code == 2
+    assert out == ""
+    assert "steps >= 1" in err
+
+
 def test_kfun_dense_type1_exits_2(capsys):
     # K'(r) peaks at exp(600*(2*pi/3 - sqrt(3)/2)), past the float range
     code, out, err = run_cli(capsys, "kfun", "--process", "matern1",
@@ -530,6 +539,32 @@ def test_rerun_rejects_unknown_command(tmp_path, capsys):
     code, _, err = run_cli(capsys, "rerun", "--manifest", str(bad))
     assert code == 2
     assert "unknown command" in err
+
+
+def test_rerun_rejects_manifest_missing_params(tmp_path, capsys):
+    bad = tmp_path / "short.csv"
+    bad.write_text('# {"command":"eir","params":{"process":"matern1"}}\n',
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "rerun", "--manifest", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "missing ['alpha', 'delta', 'format', 'lambda_p', 'method', 'r0']" in err
+
+
+def test_rerun_rejects_manifest_with_a_string_for_a_number(tmp_path, capsys):
+    good = tmp_path / "eir.csv"
+    code, _, _ = run_cli(capsys, "eir", "--process", "matern1", "--lambda-p", "2",
+                         "--delta", "2", "--alpha", "3", "--out", str(good))
+    assert code == 0
+    header = good.read_text(encoding="utf-8").splitlines()[0]
+    assert '"lambda_p":2.0' in header
+    bad = tmp_path / "bad.csv"
+    bad.write_text(header.replace('"lambda_p":2.0', '"lambda_p":"2"') + "\n",
+                   encoding="utf-8")
+    code, out, err = run_cli(capsys, "rerun", "--manifest", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "lambda_p='2'" in err
 
 
 def test_validation_error_exits_2(capsys):

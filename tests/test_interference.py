@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from matern_interference.analytic import affine_v_bounds
+from matern_interference.analytic import affine_v_bounds, k_derivative
 from matern_interference.errors import UnsupportedMethodError, ValidationError
 from matern_interference.interference import (
     EirMethod,
@@ -68,6 +68,13 @@ EIR_DENSE_T1_DB = {(1e3, 3.0): 5302.3520380528337,
                    (1e4, 3.0): 53305.032160169758,
                    (1e6, 3.0): 5334679.4328189839,
                    (1e4, 4.0): 53308.042209427366}
+# the same, where the kernel's boundary layer at r = delta ends past the
+# first Gauss-Kronrod node of a panel over the whole annulus
+EIR_LAYER_BAND_T1_DB = {(2200.0, 3.0): 11700.620268930049,
+                        (3000.0, 3.0): 15967.067244012108,
+                        (5000.0, 3.0): 26634.332950226274,
+                        (8500.0, 3.0): 45303.625169540228,
+                        (3000.0, 6.0): 15973.085338372687}
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,25 @@ def test_affine_bounds_sandwich_transition_mean(lam, delta, alpha):
     exact = mean_interference_inside_2delta(params, pathloss)
     assert lower <= exact * (1 + 1e-9)
     assert exact <= upper * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_inside_2delta_cuts_the_annulus_at_table_knots(kind):
+    # the transition integral maps the table's knots inside (delta, 2*delta)
+    # to s = sqrt(2*delta - b) and drops the rest (here 0.5, 2.5 and 3.5);
+    # the reference integrates in r, piece by piece between the knots. Left
+    # uncut, the kinks cost about 6e-10 of the value.
+    from scipy.integrate import quad
+
+    r = (0.5, 1.1, 1.25, 1.5, 1.9, 2.5, 3.5)
+    tab = TabulatedPathLoss(r, [(1.0 + rr) ** -3.0 for rr in r])
+    params = HardCoreParams(2.0, 1.0, kind)
+    edges = (1.0, 1.1, 1.25, 1.5, 1.9, 2.0)
+    want = intensity(params) * sum(
+        quad(lambda x: float(tab(x)) * k_derivative(params, x), a, b,
+             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:]))
+    assert mean_interference_inside_2delta(params, tab) == pytest.approx(want, rel=1e-12)
 
 
 def test_h_bound_tabulated_route_matches_power_law():
@@ -350,6 +376,15 @@ def test_eir_quadrature_dense_type1_past_float_range(lam_p, alpha):
     for c in (0.1, 10.0):
         scaled = eir(HardCoreParams(lam_p / (c * c), c, ProcessKind.MATERN_I), pathloss)
         assert scaled.eir_db == pytest.approx(report.eir_db, rel=1e-15)
+
+
+@pytest.mark.parametrize("lam_p, alpha", sorted(EIR_LAYER_BAND_T1_DB))
+def test_eir_quadrature_type1_boundary_layer_band(lam_p, alpha):
+    # the layer is cut through delta + 64w, so no e^-16 of it is left
+    # beyond the last knot, where the rule cannot see it
+    report = eir(HardCoreParams(lam_p, 1.0, ProcessKind.MATERN_I), PowerLawPathLoss(alpha))
+    assert report.eir_db == pytest.approx(EIR_LAYER_BAND_T1_DB[lam_p, alpha],
+                                          rel=0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])

@@ -1,5 +1,9 @@
 """The package's public surface: every exported name resolves, including
-the simulator names served lazily by the package ``__getattr__``."""
+the simulator names served lazily by the package ``__getattr__``, and the
+surface is the README's library quick start plus the errors and version."""
+
+import pathlib
+import re
 
 import pytest
 
@@ -19,6 +23,20 @@ def test_every_exported_name_resolves():
         from matern_interference import no_such_name  # noqa: F401
 
 
+def test_readme_quick_start_imports_the_exported_surface():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"from matern_interference import \(([^)]*)\)",
+                      readme.read_text(encoding="utf-8"))
+    assert block is not None
+    names = [name.strip() for name in block.group(1).split(",") if name.strip()]
+    assert names
+    for name in names:
+        assert name in matern_interference.__all__, name
+        getattr(matern_interference, name)
+    assert set(matern_interference.__all__) - set(names) == {
+        "ToleranceError", "UnsupportedMethodError", "ValidationError", "__version__"}
+
+
 # the criterion-6 parameter sets and their default windows, max(10*delta,
 # 20/sqrt(lambda_p)), as the simulator computed them before the function
 # moved to models
@@ -30,5 +48,4 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
 def test_default_window_radius_lives_in_models(lam, delta, window, kind):
     assert simulate.default_window_radius is models.default_window_radius
-    assert matern_interference.default_window_radius is models.default_window_radius
     assert models.default_window_radius(HardCoreParams(lam, delta, kind)) == window

@@ -110,7 +110,7 @@ def test_thin_type2_requires_distinct_marks():
 
 def test_type1_survivors_are_a_subset_of_type2_survivors():
     rng = replicate_rng(42, 0)
-    parent = sample_parent(2.0, 8.0, rng, with_marks=True)
+    parent = sample_parent(HardCoreParams(2.0, 0.7, ProcessKind.MATERN_II), 8.0, rng)
     t1 = thin(parent, type1(0.7))
     t2 = thin(parent, type2(0.7))
     assert len(t1) <= len(t2) <= len(parent)
@@ -146,17 +146,19 @@ def test_replicate_rng_streams_are_deterministic_and_distinct():
 
 def test_sample_parent_basic_properties():
     rng = replicate_rng(1, 0)
-    pat = sample_parent(2.0, 6.0, rng, r_inner=2.0, with_marks=True)
-    radii = pat.radii
-    assert np.all(radii >= 2.0)
-    assert np.all(radii <= 6.0)
+    pat = sample_parent(type2(1.0), 6.0, rng)
+    assert len(pat) > 0
+    assert np.all(pat.radii <= 6.0)
     assert np.all((pat.marks >= 0.0) & (pat.marks < 1.0))
     assert len(np.unique(pat.marks)) == len(pat)
     assert pat.window_radius == 6.0
+    # marks are drawn for type II only
+    assert sample_parent(type1(1.0), 6.0, replicate_rng(1, 0)).marks is None
 
 
 def test_sample_parent_count_matches_intensity():
-    counts = [len(sample_parent(3.0, 5.0, replicate_rng(8, k)))
+    params = HardCoreParams(3.0, 1.0, ProcessKind.MATERN_I)
+    counts = [len(sample_parent(params, 5.0, replicate_rng(8, k)))
               for k in range(200)]
     want = 3.0 * math.pi * 25.0
     se = math.sqrt(want / 200.0)
@@ -166,11 +168,9 @@ def test_sample_parent_count_matches_intensity():
 def test_sample_parent_validation():
     rng = replicate_rng(0, 0)
     with pytest.raises(ValidationError):
-        sample_parent(0.0, 5.0, rng)
+        sample_parent(type1(1.0), -1.0, rng)
     with pytest.raises(ValidationError):
-        sample_parent(1.0, 2.0, rng, r_inner=3.0)
-    with pytest.raises(ValidationError):
-        sample_parent(1.0, math.inf, rng)
+        sample_parent(type1(1.0), math.inf, rng)
 
 
 def test_simulation_config_validation():
@@ -184,16 +184,13 @@ def test_simulation_config_validation():
         SimulationConfig(window_radius=5.0, seed=-1)
     with pytest.raises(ValidationError):
         SimulationConfig(window_radius=5.0, seed=2**64)
-    with pytest.raises(ValidationError):
-        SimulationConfig(window_radius=5.0, guard=-0.5)
 
 
-def test_window_and_guard_interplay():
+def test_window_must_reach_three_delta():
     params = HardCoreParams(1.0, 1.0, ProcessKind.MATERN_I)
-    with pytest.raises(ValidationError):
-        sample_palm(params, SimulationConfig(window_radius=5.0, guard=0.5))
-    with pytest.raises(ValidationError):
-        sample_palm(params, SimulationConfig(window_radius=2.5))  # < 2d+guard
+    with pytest.raises(ValidationError, match="3\\*delta"):
+        sample_palm(params, SimulationConfig(window_radius=2.5))
+    sample_palm(params, SimulationConfig(window_radius=3.0))
     assert default_window_radius(params) == pytest.approx(20.0, rel=1e-12)
     dense = HardCoreParams(4.0, 2.0, ProcessKind.MATERN_I)
     assert default_window_radius(dense) == pytest.approx(20.0, rel=1e-12)
