@@ -23,14 +23,14 @@ in one frame; the pointwise ``v_union``, ``pair_retention_type2`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .models import HardCoreParams, ProcessKind, intensity
-from .numerics import QuadratureConfig, integrate
+from .numerics import integrate
 
 __all__ = [
-    "C1_KBOUND",
     "C2_LENS",
     "AffineVBound",
     "v_union",
@@ -45,10 +45,8 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _SQRT7 = math.sqrt(7.0)
 
-# Two contact-geometry constants that are easy to conflate: C1_KBOUND scales
-# the K(2*delta) lower bound, C2_LENS is the union area at contact distance
-# in units of delta**2 (v_union(delta, delta) = C2_LENS * delta**2).
-C1_KBOUND = math.pi / 3.0 + _SQRT3 / 4.0
+# The union area at contact distance in units of delta**2:
+# v_union(delta, delta) = C2_LENS * delta**2.
 C2_LENS = 4.0 * math.pi / 3.0 + _SQRT3 / 2.0
 
 
@@ -158,28 +156,23 @@ def pair_retention_type2(params: HardCoreParams, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _in_s(f, delta: float, end: float, quad: QuadratureConfig):
+def _in_s(f, delta: float, end: float, knots=()):
     """The integral of ``f`` over [delta, end], end <= 2*delta, rewritten in
     s = sqrt(2*delta - r).
 
     With r = 2*delta - s**2 and dr = -2*s ds it is the integral of
     g(s) = 2*s*f(2*delta - s**2) over [sqrt(2*delta - end), sqrt(delta)].
-    Each breakpoint b of ``quad`` inside (delta, end) becomes
-    sqrt(2*delta - b); the others are dropped. Returns (g, lower, upper,
-    config) for the caller's ``integrate``.
+    Each knot b inside (delta, end) becomes the breakpoint sqrt(2*delta - b)
+    in s; the others are dropped. Returns (g, lower, upper, breakpoints),
+    the arguments of the caller's ``integrate``.
     """
     two_delta = 2.0 * delta
 
     def g(s: float) -> float:
         return 2.0 * s * f(two_delta - s * s)
 
-    lower, upper = math.sqrt(two_delta - end), math.sqrt(delta)
-    # no knots to map (k_function; a power law, but for dense type I)
-    if not quad.breakpoints:
-        return g, lower, upper, quad
-    knots = sorted({math.sqrt(two_delta - b)
-                    for b in quad.breakpoints if delta < b < end})
-    return g, lower, upper, replace(quad, breakpoints=tuple(knots))
+    breakpoints = [math.sqrt(two_delta - b) for b in knots if delta < b < end]
+    return g, math.sqrt(two_delta - end), math.sqrt(delta), breakpoints
 
 
 def _k_prime(params: HardCoreParams, loss=None):
@@ -199,6 +192,9 @@ def _k_prime(params: HardCoreParams, loss=None):
     exp(lambda_p*(V(delta) - V(r))) with V(delta) in the closure's own
     operation order, and P = lambda_p*(2*pi*delta^2 - V(delta)), so nothing
     overflows at any density; P is 0 for type II and the Poisson hole.
+    A type II kernel whose (lambda/lambda_p)^2 or retention denominator
+    leaves the normal float range folds the first into the second, and is
+    then finite where the pointwise retention underflows.
     """
     delta = params.delta
     lam_p = params.lambda_p
@@ -263,6 +259,14 @@ def _k_prime(params: HardCoreParams, loss=None):
     den_scale = lam_p * lam_p * area_disk
     ratio = intensity(params) / lam_p
     ratio_sq = ratio * ratio
+    if not (min(ratio_sq, den_scale) >= sys.float_info.min
+            and den_scale * disk_pair * area_disk < math.inf):
+        # (lambda/lambda_p)^2 or the retention's denominator leaves the
+        # normal float range (from lambda_p*pi*delta^2 of about 1e154, or
+        # at a tiny lambda_p), although their quotient, the one K' needs,
+        # is of order one: fold the first into the second,
+        # den_scale*ratio^2 = retain_x^2/area_disk.
+        den_scale, ratio_sq = retain_x * retain_x / area_disk, 1.0
     if loss is not None:
         prefactor = two_pi / ratio_sq
 
@@ -343,9 +347,7 @@ def k_function(params: HardCoreParams, r: float) -> float:
     if r <= delta:
         return 0.0
     inner_end = min(r, 2.0 * delta)
-    g, lower, upper, cfg = _in_s(_k_prime(params)[0], delta, inner_end,
-                                 QuadratureConfig())
-    result = integrate(g, lower, upper, cfg)
+    result = integrate(*_in_s(_k_prime(params)[0], delta, inner_end))
     if math.isinf(result.value):
         raise _float_range_error(params, "the K-function transition integral")
     result.require("K-function transition integral")
@@ -367,7 +369,8 @@ def k2delta_lower_bound(params: HardCoreParams) -> float:
         raise ValidationError("the K(2*delta) lower bound applies to the "
                               "type I process only")
     lam_p, delta = params.lambda_p, params.delta
-    exponent = lam_p * delta * delta * (2.0 * math.pi / 3.0 - _SQRT3 / 2.0)
+    chord, _ = affine_v_bounds()
+    exponent = lam_p * delta * delta * chord.b
     try:
         value = (2.0 * math.pi / (_SQRT3 * lam_p)) * math.expm1(exponent)
     except OverflowError:

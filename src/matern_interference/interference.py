@@ -17,7 +17,8 @@ pair-correlation formula. For type I that kernel is scaled by its peak e^P
 at r = delta, and P is carried as a logarithm: ``eir`` forms
 ln EIR = P + ln(I~ + e^-P * outer) - ln(reference) from the scaled
 integral I~ and the closed-form integrals of the loss beyond 2*delta and
-beyond delta, so its decibels are finite at every density. The ratios of
+beyond delta, so its decibels are finite at every density that
+``HardCoreParams`` accepts. The ratios of
 the affine bounds to the tail are likewise formed without lambda
 (``h_bound_over_tail``), but they leave the float range past
 lambda_p*delta^2 of about 600, where a validation error is raised.
@@ -29,9 +30,9 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime
+from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime, affine_v_bounds
 # No integrand here calls these two any more. The benchmark's tracer
 # (perfbench/tracer.py) still counts calls to interference.v_union and
 # interference.pair_retention_type2, so they stay importable from here
@@ -46,7 +47,7 @@ from .models import (
     TabulatedPathLoss,
     intensity,
 )
-from .numerics import _QK21, QuadratureConfig, integrate, upper_incomplete_gamma
+from .numerics import _ABS_TOL, _QK21, integrate, upper_incomplete_gamma
 
 __all__ = [
     "NU_TYPE2_UNIVERSAL",
@@ -71,12 +72,13 @@ _LOG10_E10 = 10.0 * math.log10(math.e)  # multiplies a natural log into decibels
 #: integrable radial path loss: 12*pi / (8*pi + 3*sqrt(3)) < 5/4.
 NU_TYPE2_UNIVERSAL = 12.0 * math.pi / (8.0 * math.pi + 3.0 * math.sqrt(3.0))
 
+# the upper line on the union area, its tangent at r = 3*delta/2
+_TANGENT = affine_v_bounds()[1]
+
 #: Coefficient of lambda_p*delta^2 in the exponential growth of the type I
 #: EIR approximation: pi - a - b for the tangent-line constants. Exceeds 1,
 #: which is what makes the growth strictly faster than exp(lambda_p*delta^2).
-TYPE1_GROWTH_EXPONENT = (
-    math.pi - (2.0 * math.asin(0.75) - 3.0 * math.sqrt(7.0) / 8.0) - math.sqrt(7.0) / 2.0
-)
+TYPE1_GROWTH_EXPONENT = math.pi - _TANGENT.a - _TANGENT.b
 
 
 class EirMethod(enum.Enum):
@@ -112,18 +114,20 @@ def _check_power_law_cutoff(params: HardCoreParams, pathloss: PathLossModel) -> 
                 f"hard-core distance delta={params.delta}")
 
 
-def _transition_quad_config(pathloss: PathLossModel, delta: float,
-                            *knots: float) -> QuadratureConfig:
-    """The default quadrature config with breakpoints at ``knots`` and at
-    the table's radii inside (delta, 2*delta)."""
+def _table_knots(pathloss: PathLossModel, delta: float) -> list[float]:
+    """The radii of a path loss table inside (delta, 2*delta), where its
+    linear interpolation has kinks; none for a power law."""
     if isinstance(pathloss, TabulatedPathLoss):
-        knots += tuple(r for r in pathloss.r_grid if delta < r < 2.0 * delta)
-    return QuadratureConfig().with_breakpoints(*knots)
+        return [r for r in pathloss.r_grid if delta < r < 2.0 * delta]
+    return []
 
 
 # how far from r = delta the first node of one Gauss-Kronrod panel over the
 # whole annulus, s in [0, sqrt(delta)], lies, in units of delta (0.0043)
 _FIRST_NODE_REACH = 1.0 - (0.5 * (1.0 + _QK21[0][0])) ** 2
+# lambda_p*delta^2 (about 133) above which the type I boundary layer's
+# width w = 1/(sqrt(3)*lambda_p*delta) is below that reach
+_LAYER_ONSET = 1.0 / (math.sqrt(3.0) * _FIRST_NODE_REACH)
 
 
 def _transition_integral(params: HardCoreParams,
@@ -132,37 +136,38 @@ def _transition_integral(params: HardCoreParams,
     against K'(r) over [delta, 2*delta), so that the annulus' mean
     interference is lambda * I. Requires delta > 0.
 
-    I~ integrates ``analytic._k_prime``'s kernel in s (see ``analytic``);
-    for type I it is scaled by its peak, and both values stay finite at any
-    density. Where 2*pi*loss(delta)*delta^2 is below 1, the absolute
-    tolerance is taken in units of it, so that the relative one holds for a
-    steep loss at a large delta too.
+    I~ integrates ``analytic._k_prime``'s kernel in s (see ``_in_s``), with
+    knots at a table's kinks and across a dense type I boundary layer; for
+    type I the kernel is scaled by its peak, and both values stay finite at
+    any accepted density. Where 2*pi*loss(delta)*delta^2 is below 1, the
+    absolute tolerance is taken in units of it, so that the relative one
+    holds for a steep loss at a large delta too.
     """
     delta = params.delta
     kernel, log_peak = _k_prime(params, pathloss)
     unit = 2.0 * math.pi * float(pathloss(delta)) * delta * delta
-    if unit == 0.0:  # a nonincreasing loss then vanishes on the annulus
-        return 0.0, log_peak
-    knots = []
-    if params.kind is ProcessKind.MATERN_I:
+    if unit == 0.0 and isinstance(pathloss, TabulatedPathLoss):
+        return 0.0, log_peak  # a nonincreasing table vanishes on the annulus
+    if not 0.0 < unit < math.inf:  # a power law past the float range
+        raise ValidationError(
+            f"2*pi*loss(delta)*delta^2 = {unit:g} leaves the float range "
+            f"at delta = {delta:g}")
+    knots = _table_knots(pathloss, delta)
+    if (params.kind is ProcessKind.MATERN_I
+            and params.lambda_p * delta * delta > _LAYER_ONSET):
         # The scaled kernel falls from r = delta like exp(-(r - delta)/w).
         # A layer that ends short of the first node is invisible to the
         # rule, which then reports convergence far from the value, so it
-        # is cut at delta + 4^k*w (none below lambda_p*delta^2 = 133):
-        # through 64w, which leaves e^-64 of it beyond the last knot, and
-        # on while 4^k*w is below the reach.
+        # is cut at delta + 4^k*w: through 64w, which leaves e^-64 of it
+        # beyond the last knot, and on while 4^k*w is below the reach.
         w = 1.0 / (math.sqrt(3.0) * params.lambda_p * delta)
-        if w < _FIRST_NODE_REACH * delta:
-            knots = [delta + w * 4.0**k for k in range(4)]
-            w *= 256.0
+        knots += [delta + w * 4.0**k for k in range(4)]
+        w *= 256.0
         while w < _FIRST_NODE_REACH * delta:
             knots.append(delta + w)
             w *= 4.0
-    cfg = _transition_quad_config(pathloss, delta, *knots)
-    if unit < 1.0:
-        cfg = replace(cfg, abs_tol=cfg.abs_tol * unit)
-    g, lower, upper, cfg = _in_s(kernel, delta, 2.0 * delta, cfg)
-    result = integrate(g, lower, upper, cfg)
+    result = integrate(*_in_s(kernel, delta, 2.0 * delta, knots),
+                       abs_tol=_ABS_TOL * min(unit, 1.0))
     result.require("transition-annulus interference integral")
     return result.value, log_peak
 
@@ -294,8 +299,7 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
     def integrand(r: float) -> float:
         return float(pathloss(r)) * r * math.exp(-rate * r)
 
-    cfg = _transition_quad_config(pathloss, delta)
-    result = integrate(integrand, delta, 2.0 * delta, cfg)
+    result = integrate(integrand, delta, 2.0 * delta, _table_knots(pathloss, delta))
     result.require("affine-bound interference integral")
     return prefactor * result.value
 
@@ -359,10 +363,12 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
 
     Methods: QUADRATURE computes both means (exact up to quadrature
     tolerance; the ratio is exactly 1 for the Poisson reference and at
-    delta = 0), with a finite ``eir_db`` at every density: ``eir_linear``
-    is inf once the ratio overflows (type I, lambda_p*delta^2 above about
-    580), and the means underflow to 0 before that. A path loss that
-    vanishes beyond delta is a validation error. UPPER_BOUND is the type II
+    delta = 0), with a finite ``eir_db`` at every accepted density:
+    ``eir_linear`` is inf once the ratio overflows (type I,
+    lambda_p*delta^2 above about 580), and the means underflow to 0 before
+    that. A path loss that vanishes beyond delta, or a power law whose
+    2*pi*loss(delta)*delta^2 leaves the float range, is a validation
+    error. UPPER_BOUND is the type II
     closed-form cap; APPROXIMATION is the paper's type I closed form, which
     is close to quadrature only near lambda_p*delta^2 = 9 (see
     eir_type1_approximation).
@@ -440,11 +446,10 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
             f"(got {lam_p * delta * delta:g}); it comes closest to the "
             "exact value near lambda_p*delta^2 = 9",
             stacklevel=2)
-    b_lower = math.sqrt(7.0) / 2.0
     log_eir = (math.log(alpha - 2.0)
                + (alpha - 2.0) * math.log(2.0)
                + lam_p * delta * delta * TYPE1_GROWTH_EXPONENT
-               - math.log(lam_p * b_lower * delta * delta))
+               - math.log(lam_p * _TANGENT.b * delta * delta))
     mean_poisson = 2.0 * math.pi * intensity(params) * delta ** (2.0 - alpha) / (alpha - 2.0)
     # the product is formed in the log domain: the ratio overflows long
     # before the hard-core mean does, which underflows with the reference

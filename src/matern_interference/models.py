@@ -63,7 +63,9 @@ class HardCoreParams:
     ``lambda_p`` is the intensity of the parent Poisson process before
     thinning (for ``POISSON_HOLE`` it is simply the process intensity).
     ``delta`` is the minimum separation the thinning enforces; ``delta = 0``
-    degenerates both Matérn types to the parent process.
+    degenerates both Matérn types to the parent process. The area
+    2*pi*delta^2 and the mean number of parents in an exclusion disk,
+    lambda_p*pi*delta^2, must be finite floats.
     """
 
     lambda_p: float
@@ -75,6 +77,15 @@ class HardCoreParams:
             raise ValidationError(f"lambda_p must be > 0, got {self.lambda_p}")
         if not (self.delta >= 0 and math.isfinite(self.delta)):
             raise ValidationError(f"delta must be >= 0, got {self.delta}")
+        # every formula of the package is built on the union area of two
+        # exclusion disks, up to 2*pi*delta^2, and on the mean number of
+        # parents in one disk, lambda_p*pi*delta^2, as intensity forms it
+        d = self.delta
+        if (math.isinf(2.0 * math.pi * d * d)
+                or math.isinf(self.lambda_p * math.pi * d * d)):
+            raise ValidationError(
+                f"2*pi*delta^2 or lambda_p*pi*delta^2 overflows a float at "
+                f"lambda_p = {self.lambda_p:g}, delta = {d:g}")
         if not isinstance(self.kind, ProcessKind):
             raise ValidationError(f"kind must be a ProcessKind, got {self.kind!r}")
 

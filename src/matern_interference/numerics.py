@@ -5,8 +5,11 @@ The gamma function is the delicate part: the radial integral of a power path
 loss against an exponential weight reduces to differences of Gamma(s, x) with
 s = 2 - alpha < 0, which neither ``math`` nor ``scipy.special`` provides
 (``gammaincc`` is regularized and requires s > 0). It is implemented here from
-scratch. The quadrature is a globally adaptive 21-point Gauss-Kronrod rule,
-also written here with the standard library only; it shares nothing with the
+scratch. The quadrature is a globally adaptive 21-point Gauss-Kronrod rule
+over a finite interval, with fixed tolerances and panel budget, also
+written here with the standard library only. Its one argument beyond the
+integrand and the interval is what its callers vary: the breakpoints, and
+an absolute tolerance in the integrand's units. It shares nothing with the
 incomplete-gamma closed forms, so the two routes stay independent
 cross-checks of each other.
 """
@@ -15,12 +18,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ToleranceError, ValidationError
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureResult",
     "integrate",
     "upper_incomplete_gamma",
@@ -28,40 +30,13 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015329
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision limits for the radial integrals.
-
-    ``breakpoints`` lists radii where an integrand is continuous but not
-    smooth (hard-core distance, twice the hard-core distance, path loss table
-    knots); the integrator never places a panel across one.
-
-    The target error is ``max(abs_tol, rel_tol * |value|)``: relative only
-    while ``|value| >= abs_tol / rel_tol`` (1e-3 by default), and absolute
-    for smaller integrals. Callers scale their integrands to order one for
-    that reason.
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-    breakpoints: tuple[float, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValidationError("rel_tol and abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValidationError("max_subdivisions must be >= 1")
-        pts = tuple(float(p) for p in self.breakpoints)
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValidationError("breakpoints must be sorted ascending")
-        object.__setattr__(self, "breakpoints", pts)
-
-    def with_breakpoints(self, *points: float) -> "QuadratureConfig":
-        merged = sorted(set(self.breakpoints) | {float(p) for p in points})
-        return QuadratureConfig(self.rel_tol, self.abs_tol,
-                                self.max_subdivisions, tuple(merged))
+# The quadrature's fixed tolerances and panel budget (see integrate). The
+# target error is max(abs_tol, _REL_TOL * |value|): relative only while
+# |value| >= abs_tol / _REL_TOL (1e-3 at _ABS_TOL), so callers scale their
+# integrands to order one, or pass an absolute tolerance in their units.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_PANELS = 200
 
 
 @dataclass(frozen=True)
@@ -116,46 +91,32 @@ def _kronrod21(f, lo: float, hi: float) -> tuple[float, float]:
     return kronrod * half, abs(kronrod - gauss) * half
 
 
-def _half_line_on_unit(f, a: float):
-    """The integrand of f over [a, inf) as a function of s in (0, 1], with
-    t = a + (1 - s)/s and dt = -ds/s^2."""
-    def mapped(s: float) -> float:
-        return f(a + (1.0 - s) / s) / (s * s)
-    return mapped
+def integrate(f, a: float, b: float, breakpoints=(),
+              abs_tol: float = _ABS_TOL) -> QuadratureResult:
+    """Adaptive quadrature of ``f`` over the finite interval ``[a, b]``.
 
-
-def integrate(f, a: float, b: float,
-              cfg: QuadratureConfig | None = None) -> QuadratureResult:
-    """Adaptive quadrature of ``f`` over ``[a, b]`` (``b`` may be ``inf``).
-
-    The interval is cut at every interior breakpoint of ``cfg``, and each
-    piece starts as one panel of QUADPACK's 21-point Gauss-Kronrod rule with
-    |K21 - G10| as its error estimate. The panel with the largest estimate
-    is bisected until the summed estimate is at most
-    ``max(abs_tol, rel_tol * |value|)`` or ``max_subdivisions`` panels are in
-    use; ``subdivisions_used`` is the final number of panels. For
-    ``|value| < abs_tol / rel_tol`` that target is the absolute ``abs_tol``,
-    so the relative tolerance no longer holds. An infinite
-    upper limit is mapped onto (0, 1] by t = a + (1 - s)/s. The result is
+    The interval is cut at every breakpoint strictly inside it (the others
+    are dropped, duplicates merged), and each piece starts as one panel of
+    QUADPACK's 21-point Gauss-Kronrod rule with |K21 - G10| as its error
+    estimate. The panel with the largest estimate is bisected until the
+    summed estimate is at most ``max(abs_tol, 1e-9 * |value|)`` or 200
+    panels are in use; ``subdivisions_used`` is the final number of panels.
+    For ``|value| < abs_tol / 1e-9`` that target is the absolute
+    ``abs_tol``, so the relative tolerance no longer holds. The result is
     ``converged`` only when the summed estimate is within ten times that
     tolerance, so a budget that runs out short of it, or an integrand that
-    returns NaN, is reported there, never hidden.
+    returns NaN, is reported there, never hidden. A non-finite bound is a
+    validation error.
     """
-    cfg = cfg or QuadratureConfig()
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValidationError(f"integration bounds must be finite: [{a}, {b}]")
     if not a <= b:
         raise ValidationError(f"integration bounds out of order: [{a}, {b}]")
-    if a == -math.inf:
-        raise ValidationError("the lower integration bound must be finite")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
 
-    cuts = [a] + [p for p in cfg.breakpoints if a < p < b] + [b]
-    if b == math.inf:
-        f = _half_line_on_unit(f, a)
-        # s = 1/(1 + t - a), which sends b = inf to 0
-        cuts = [1.0 / (1.0 + t - a) for t in reversed(cuts)]
-
+    cuts = [a] + sorted({float(p) for p in breakpoints if a < p < b}) + [b]
     heap = []
     total = err = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
@@ -164,10 +125,10 @@ def integrate(f, a: float, b: float,
         total += val
         err += e
     heapq.heapify(heap)
-    scale_floor = cfg.abs_tol / cfg.rel_tol
+    scale_floor = abs_tol / _REL_TOL
     # a NaN error estimate fails this test and ends the loop at once
-    while (len(heap) < cfg.max_subdivisions
-           and err > cfg.rel_tol * max(abs(total), scale_floor)):
+    while (len(heap) < _MAX_PANELS
+           and err > _REL_TOL * max(abs(total), scale_floor)):
         neg_e, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         left, e_left = _kronrod21(f, lo, mid)
@@ -180,7 +141,7 @@ def integrate(f, a: float, b: float,
     err = math.fsum(-p[0] for p in heap)
     scale = max(abs(total), scale_floor)
     return QuadratureResult(total, err, len(heap),
-                            err <= 10.0 * cfg.rel_tol * scale)
+                            err <= 10.0 * _REL_TOL * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +228,9 @@ def _gamma_near_zero_order_scaled(eps: float, x: float) -> float:
     -euler_gamma*eps + zeta(2) eps^2/2 - zeta(3) eps^3/3 + ..., whose
     truncation error is far below double precision for the stated range.
     """
-    if eps == 0.0:
+    if abs(eps) < 1e-280:
+        # the order-zero limit, exact to rounding here, where the expm1
+        # arguments below would be subnormal and lose their digits
         bracket = -_EULER_GAMMA - math.log(x)
     else:
         log_gamma_1p = eps * (-_EULER_GAMMA + eps * (

@@ -54,21 +54,16 @@ from .models import (
 )
 
 __all__ = [
-    "TailPolicy",
     "SimulationConfig",
     "default_window_radius",
     "replicate_rng",
     "sample_parent",
     "thin",
-    "reliable_mask",
     "sample_palm",
-    "PalmEnsemble",
     "run_palm_ensemble",
     "interference_estimate_from_ensemble",
     "intensity_estimate_from_ensemble",
     "estimate_mean_interference",
-    "KFunctionEstimate",
-    "estimate_k_function",
     "estimate_intensity",
 ]
 
@@ -307,19 +302,11 @@ def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
     """One pattern of params.kind seen from a typical retained point at the
     origin, origin excluded; exact for all points within the window. A type
     II origin's mark competes in the thinning, and type II survivors carry
-    their marks. run_palm_ensemble reproduces this replicate by replicate,
-    bit for bit."""
+    their marks. This is the ensemble's own draw and thinning
+    (_thin_chunk) on a chunk of one replicate, so run_palm_ensemble
+    reproduces it replicate by replicate, bit for bit."""
     _check_window(params, cfg)
-    rng = replicate_rng(cfg.seed, replicate)
-    rsq, theta, marks, origin_mark = _draw_palm_parent(params, cfg, rng)
-    points = _polar_points(rsq, theta)
-    if marks is None:
-        dead = _dead_mask(params, points, None)
-    else:
-        dead = _dead_mask(params, np.concatenate((points, [[0.0, 0.0]])),
-                          np.append(marks, origin_mark))[:-1]
-    radii = np.hypot(points[:, 0], points[:, 1])
-    keep = ~dead & (radii <= cfg.window_radius)
+    points, _, keep, _, marks, _ = _thin_chunk(params, cfg, replicate, 1)
     return PointPattern(points=points[keep], window_radius=cfg.window_radius,
                         marks=None if marks is None else marks[keep])
 
@@ -396,15 +383,16 @@ def _ensemble_threads(chunks: int) -> int:
     return min(_MAX_THREADS, cpus, chunks)
 
 
-def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
-                chunk_start: int):
-    """Draw and thin replicates [chunk_start, chunk_start + size) in one
-    KD-tree pass; run_palm_ensemble sizes chunks by their expected parents.
-    Returns the retained in-window radii, their replicate ids and fading
-    weights."""
+def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
+                chunk_start: int, chunk: int):
+    """Draw and thin replicates [chunk_start, chunk_start + chunk) in one
+    KD-tree pass. Returns (points, radii, keep, rep_local, marks, rngs):
+    every parent drawn, its distance from the origin, True where it is
+    retained and in the window, its replicate's index in the chunk, its
+    mark (marks is None unless type II), and each replicate's generator,
+    past its parent draws."""
     delta, r_window = params.delta, cfg.window_radius
     is_type2 = params.kind is ProcessKind.MATERN_II
-    chunk = min(size, cfg.replicates - chunk_start)
     rngs = []
     rsq_list = []
     theta_list = []
@@ -438,6 +426,19 @@ def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
 
     radii = np.hypot(points[:, 0], points[:, 1])
     keep = ~dead & (radii <= r_window)
+    if marks is not None:
+        marks = marks[:len(points)]
+    return points, radii, keep, rep_local, marks, rngs
+
+
+def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
+                chunk_start: int):
+    """Draw and thin replicates [chunk_start, chunk_start + size), as
+    _thin_chunk does; run_palm_ensemble sizes chunks by their expected
+    parents. Returns the retained in-window radii, their replicate ids and
+    fading weights."""
+    chunk = min(size, cfg.replicates - chunk_start)
+    _, radii, keep, rep_local, _, rngs = _thin_chunk(params, cfg, chunk_start, chunk)
     kept_radii = radii[keep]
     kept_rep = rep_local[keep]
     if cfg.fading.kind is not FadingKind.NONE:

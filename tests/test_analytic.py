@@ -413,3 +413,13 @@ def test_k_transition_integral_against_midpoint_riemann():
     assert res.converged
     assert res.value == pytest.approx(total, rel=1e-9)
     assert res.value == pytest.approx(TRANSITION_INTEGRAL_21, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam_p", [1e170, 1e300])
+def test_dense_type2_k_function_matches_the_unfolded_kernel(lam_p):
+    # as for the EIR in test_interference: lambda_p = 1e100 takes the
+    # unfolded kernel, and both sit at the dense limit
+    for r in (1.2, 1.7, 2.0, 3.0):
+        want = k_function(HardCoreParams(1e100, 1.0, ProcessKind.MATERN_II), r)
+        got = k_function(HardCoreParams(lam_p, 1.0, ProcessKind.MATERN_II), r)
+        assert got == pytest.approx(want, rel=1e-12)

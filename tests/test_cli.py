@@ -4,6 +4,8 @@ byte-for-byte reproduction through the rerun subcommand."""
 import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -597,3 +599,64 @@ def test_tolerance_error_exits_3(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "vunion", "--delta", "1", "--u", "1")
     assert code == 3
     assert "tolerance" in err
+
+
+# Parameters whose products leave the float range. Each runs in a child
+# process that limits its own address space and is given a timeout, so a
+# regression (a knot loop that never ends, a list that grows without bound)
+# fails here instead of hanging or exhausting the suite.
+_A3 = ["--alpha", "3"]
+_FLOAT_RANGE_PROBES = {
+    # lambda_p*pi*delta^2 overflows
+    "eir-matern1-1e300-1e10": (2, ["eir", "--process", "matern1", "--lambda-p",
+                                   "1e300", "--delta", "1e10", *_A3]),
+    "eir-matern1-1e300-1e5": (2, ["eir", "--process", "matern1", "--lambda-p",
+                                  "1e300", "--delta", "1e5", *_A3]),
+    "intensity-matern2-1e300-1e10": (2, ["intensity", "--process", "matern2",
+                                         "--lambda-p", "1e300", "--delta", "1e10"]),
+    # 2*pi*delta^2 overflows
+    "eir-matern1-1e-300-1e200": (2, ["eir", "--process", "matern1", "--lambda-p",
+                                     "1e-300", "--delta", "1e200", *_A3]),
+    # the path loss at delta overflows, and lambda_p*delta^2 underflows
+    "eir-matern1-1e-200-1e-200": (2, ["eir", "--process", "matern1", "--lambda-p",
+                                      "1e-200", "--delta", "1e-200", *_A3]),
+    "interference-matern1-1e-200-1e-200": (2, [
+        "interference", "--process", "matern1", "--lambda-p", "1e-200",
+        "--delta", "1e-200", *_A3, "--method", "quadrature"]),
+    # the path loss underflows at delta, but not beyond it
+    "eir-matern1-1e-200-1e100-a4": (2, ["eir", "--process", "matern1", "--lambda-p",
+                                        "1e-200", "--delta", "1e100", "--alpha", "4"]),
+    # (lambda/lambda_p)^2 underflows and lambda_p^2*pi*delta^2 overflows
+    "eir-matern2-1e170-1": (0, ["eir", "--process", "matern2", "--lambda-p",
+                                "1e170", "--delta", "1", *_A3]),
+    "eir-matern2-1e300-1": (0, ["eir", "--process", "matern2", "--lambda-p",
+                                "1e300", "--delta", "1", *_A3]),
+    "kfun-matern2-1e170-1": (0, ["kfun", "--process", "matern2", "--lambda-p",
+                                 "1e170", "--delta", "1"]),
+}
+
+_LIMITED_CHILD = (
+    "import json, resource, sys\n"
+    "limit = 2 << 30\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+    "from matern_interference.cli import main\n"
+    "sys.exit(main(json.loads(sys.argv[1])))\n"
+)
+
+
+@pytest.mark.parametrize("case", list(_FLOAT_RANGE_PROBES))
+def test_float_range_probe_exits_cleanly(case):
+    code, argv = _FLOAT_RANGE_PROBES[case]
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stdout == ""
+        assert "error: " in proc.stderr
+        return
+    rows, _ = csv_rows(proc.stdout)
+    assert rows
+    for row in rows:
+        numbers = [v for k, v in row.items() if k not in ("process", "method")]
+        assert all(math.isfinite(float(v)) for v in numbers), row

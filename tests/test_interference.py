@@ -546,3 +546,16 @@ def test_eir_report_checks_db_consistency():
     with pytest.raises(ValidationError):
         EirReport(mean_hardcore=2.0, mean_poisson_hole=1.0, eir_linear=2.0,
                   eir_db=3.2, method=EirMethod.QUADRATURE)
+
+
+@pytest.mark.parametrize("lam_p", [1e170, 1e300])
+def test_dense_type2_matches_the_unfolded_kernel(lam_p):
+    # At lambda_p = 1e100, (lambda/lambda_p)^2 and the retention's
+    # denominator are still normal floats; from about 1e154 on the kernel
+    # folds one into the other. Both sides sit at the dense limit, where
+    # they differ by about 1e-100.
+    pathloss = PowerLawPathLoss(3.0)
+    want = eir(HardCoreParams(1e100, 1.0, ProcessKind.MATERN_II), pathloss)
+    got = eir(HardCoreParams(lam_p, 1.0, ProcessKind.MATERN_II), pathloss)
+    assert got.eir_linear == pytest.approx(want.eir_linear, rel=1e-12)
+    assert 1.0 < got.eir_linear < eir_type2_bound(3.0)

@@ -92,6 +92,21 @@ def test_params_validation():
         HardCoreParams(1.0, 1.0, "matern1")
 
 
+@pytest.mark.parametrize("lam, delta", [(1e300, 1e10), (1e300, 1e5),
+                                        (1e-300, 1e200), (1.0, 1e154)])
+def test_params_reject_disk_products_past_the_float_range(lam, delta):
+    # lambda_p*pi*delta^2 or 2*pi*delta^2 overflows
+    for kind in ProcessKind:
+        with pytest.raises(ValidationError, match="overflows a float"):
+            HardCoreParams(lam, delta, kind)
+
+
+def test_params_accept_disk_products_inside_the_float_range():
+    # 1e300*pi*1e6 = 3.1e306 and 2*pi*1e306 = 6.3e306
+    HardCoreParams(1e300, 1e3, ProcessKind.MATERN_I)
+    HardCoreParams(1e-300, 1e153, ProcessKind.MATERN_II)
+
+
 # ---------------------------------------------------------------------------
 # Power-law path loss
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 the simulator names served lazily by the package ``__getattr__``, and the
 surface is the README's library quick start plus the errors and version."""
 
+import importlib
 import pathlib
 import re
 
@@ -21,6 +22,14 @@ def test_every_exported_name_resolves():
         getattr(matern_interference, "no_such_name")
     with pytest.raises(ImportError):
         from matern_interference import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("module", ["analytic", "interference", "models",
+                                    "numerics", "simulate"])
+def test_every_submodule_export_resolves(module):
+    mod = importlib.import_module(f"matern_interference.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.{name}"
 
 
 def test_readme_quick_start_imports_the_exported_surface():
