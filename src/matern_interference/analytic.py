@@ -12,12 +12,15 @@ r = 2*delta, V'(r) = 2*sqrt(delta**2 - r**2/4), which an adaptive rule in r
 can only approach by bisection; in s every integrand built from V is
 analytic, and the Gauss-Kronrod rule converges in one to three panels.
 
-Every transition integral has one integrand, built by ``_k_prime(params,
-loss=None)``: K'(r), times the path loss when one is given. ``k_function``
-integrates it bare and ``interference`` against the path loss. The factory
-computes the per-parameter constants once and the closure evaluates a node
-in one frame; the pointwise ``v_union``, ``pair_retention_type2`` and
-``k_derivative`` are the public references it equals bit for bit.
+Every transition integral integrates one closure per process kind, built
+by ``_k_prime(params, loss=None)``: K'(r) times the path loss on
+[delta, 2*delta), where no loss is the unit loss. ``k_function`` integrates
+it without a loss and ``interference`` with one. The factory computes the
+per-parameter constants once and the closure evaluates a node in one frame;
+the pointwise ``v_union``, ``pair_retention_type2`` and ``k_derivative`` are
+the public references it equals bit for bit. The closure guards neither end
+of the interval: ``k_derivative`` answers outside it, and both public
+entry points turn a float overflow into a validation error.
 """
 
 from __future__ import annotations
@@ -176,25 +179,26 @@ def _in_s(f, delta: float, end: float, knots=()):
 
 
 def _k_prime(params: HardCoreParams, loss=None):
-    """The integrand of every transition integral, as one closure of r: K'(r),
-    times ``loss(r)`` when a path loss is given. Returns (closure, P): the
-    integrand is closure(r) * e^P. Requires delta > 0.
+    """The integrand of every transition integral, as one closure of r on
+    [delta, 2*delta): K'(r) times the path loss ``loss(r)``, where no loss
+    is the unit loss. Returns (closure, P): the integrand is
+    closure(r) * e^P. Requires delta > 0.
 
     Every per-parameter constant is computed here once, and the closure
     evaluates a node in a single frame: the union area (``v_union``) and the
     type II retention (``pair_retention_type2``) are written inline with
-    their operations in their order, so each value equals that of the
-    pointwise references bit for bit. Without a loss the closure is
-    ``k_derivative`` on r >= 0 and P = 0: 0 below delta, 2*pi*r from 2*delta
-    on, and a ValidationError past the float range. With a loss it is the
-    lambda-free interference integrand of ``interference``, with no guard
-    below delta. For type I it is then scaled by its peak at r = delta, to
+    their operations in their order, so each value without a loss equals
+    that of the pointwise ``k_derivative`` bit for bit. The closure tests
+    neither end of the interval: ``k_derivative`` answers below delta and
+    from 2*delta on itself, and ``k_function`` integrates strictly inside;
+    both map an overflow to a validation error. With a loss the type I
+    closure is scaled by its peak at r = delta, to
     exp(lambda_p*(V(delta) - V(r))) with V(delta) in the closure's own
     operation order, and P = lambda_p*(2*pi*delta^2 - V(delta)), so nothing
-    overflows at any density; P is 0 for type II and the Poisson hole.
-    A type II kernel whose (lambda/lambda_p)^2 or retention denominator
-    leaves the normal float range folds the first into the second, and is
-    then finite where the pointwise retention underflows.
+    overflows at any density; P is 0 otherwise. A type II kernel whose
+    (lambda/lambda_p)^2 or retention denominator leaves the normal float
+    range folds the first into the second, and is then finite where the
+    pointwise retention underflows.
     """
     delta = params.delta
     lam_p = params.lambda_p
@@ -210,44 +214,27 @@ def _k_prime(params: HardCoreParams, loss=None):
     two_d2 = 2.0 * d2
 
     if kind is ProcessKind.POISSON_HOLE:
-        if loss is None:
-            return (lambda r: two_pi * r if r >= delta else 0.0), 0.0
-        return (lambda r: two_pi * float(loss(r)) * r), 0.0
+        return (lambda r: two_pi * (1.0 if loss is None else float(loss(r))) * r), 0.0
 
     if kind is ProcessKind.MATERN_I:
-        # (lambda_p/lambda)^2 * k(r) folded into one exponent, which peaks
-        # at lambda_p*delta^2*(2*pi/3 - sqrt(3)/2) at r = delta. Grouped
-        # ((2*pi)*delta)*delta as before; it can differ from disk_pair in
-        # the last bit.
+        # (lambda_p/lambda)^2 * k(r) folded into one exponent,
+        # lambda_p*(ref - V(r)). Without a loss ref is 2*pi*delta^2, grouped
+        # ((2*pi)*delta)*delta as before (it can differ from disk_pair in
+        # the last bit); with one it is the peak V(delta).
         two_disks = two_pi * delta * delta
+        ref = two_disks
         if loss is not None:
-            v_peak = (disk_pair - two_d2 * acos(delta / two_delta)
-                      + delta * sqrt(d2 - 0.25 * delta * delta))
-
-            def integrand(r: float) -> float:
-                if r >= two_delta:
-                    v = disk_pair
-                else:
-                    v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
-                return two_pi * float(loss(r)) * r * exp(lam_p * (v_peak - v))
-            return integrand, lam_p * (two_disks - v_peak)
-
-        inf = math.inf
+            ref = (disk_pair - two_d2 * acos(delta / two_delta)
+                   + delta * sqrt(d2 - 0.25 * delta * delta))
 
         def k_prime(r: float) -> float:
-            if r < delta:
-                return 0.0
             if r >= two_delta:
-                return two_pi * r
-            v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
-            try:
-                value = two_pi * r * exp(lam_p * (two_disks - v))
-            except OverflowError:
-                value = inf
-            if value == inf:
-                raise _float_range_error(params, "the type I K'(r)")
-            return value
-        return k_prime, 0.0
+                v = disk_pair
+            else:
+                v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
+            return (two_pi * (1.0 if loss is None else float(loss(r))) * r
+                    * exp(lam_p * (ref - v)))
+        return k_prime, lam_p * (two_disks - ref)
 
     # type II: pair_retention_type2's constants, and (lambda/lambda_p)^2
     area_disk = math.pi * delta * delta
@@ -267,42 +254,22 @@ def _k_prime(params: HardCoreParams, loss=None):
         # is of order one: fold the first into the second,
         # den_scale*ratio^2 = retain_x^2/area_disk.
         den_scale, ratio_sq = retain_x * retain_x / area_disk, 1.0
-    if loss is not None:
-        prefactor = two_pi / ratio_sq
-
-        def integrand(r: float) -> float:
-            if r >= two_delta:
-                p = far_field
-            else:
-                v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
-                y = lam_p * v
-                if y < 1e-4:
-                    p = (1.0
-                         - (x + y) / 3.0
-                         + (x * x + x * y + y * y) / 12.0
-                         - (x ** 3 + x * x * y + x * y * y + y ** 3) / 60.0)
-                else:
-                    p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
-                         / (den_scale * v * (v - area_disk)))
-            return prefactor * float(loss(r)) * r * p
-        return integrand, 0.0
 
     def k_prime(r: float) -> float:
-        if r < delta:
-            return 0.0
         if r >= two_delta:
-            return two_pi * r
-        v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
-        y = lam_p * v
-        if y < 1e-4:
-            p = (1.0
-                 - (x + y) / 3.0
-                 + (x * x + x * y + y * y) / 12.0
-                 - (x ** 3 + x * x * y + x * y * y + y ** 3) / 60.0)
+            p = far_field
         else:
-            p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
-                 / (den_scale * v * (v - area_disk)))
-        return two_pi * r * p / ratio_sq
+            v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
+            y = lam_p * v
+            if y < 1e-4:
+                p = (1.0
+                     - (x + y) / 3.0
+                     + (x * x + x * y + y * y) / 12.0
+                     - (x ** 3 + x * x * y + x * y * y + y ** 3) / 60.0)
+            else:
+                p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
+                     / (den_scale * v * (v - area_disk)))
+        return two_pi * (1.0 if loss is None else float(loss(r))) * r * p / ratio_sq
     return k_prime, 0.0
 
 
@@ -317,14 +284,17 @@ def k_derivative(params: HardCoreParams, r: float) -> float:
     """
     if r < 0:
         raise ValidationError("r must be >= 0")
-    delta = params.delta
-    if params.kind is ProcessKind.POISSON_HOLE:
-        return 2.0 * math.pi * r if r >= delta else 0.0
-    if r < delta:
+    if r < params.delta:
         return 0.0
-    if r >= 2.0 * delta:
+    if r >= 2.0 * params.delta:
         return 2.0 * math.pi * r
-    return _k_prime(params)[0](r)
+    try:
+        value = _k_prime(params)[0](r)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise _float_range_error(params, "the type I K'(r)")
+    return value
 
 
 def k_function(params: HardCoreParams, r: float) -> float:
@@ -347,8 +317,11 @@ def k_function(params: HardCoreParams, r: float) -> float:
     if r <= delta:
         return 0.0
     inner_end = min(r, 2.0 * delta)
-    result = integrate(*_in_s(_k_prime(params)[0], delta, inner_end))
-    if math.isinf(result.value):
+    try:
+        result = integrate(*_in_s(_k_prime(params)[0], delta, inner_end))
+    except OverflowError:
+        result = None
+    if result is None or math.isinf(result.value):
         raise _float_range_error(params, "the K-function transition integral")
     result.require("K-function transition integral")
     total = result.value

@@ -12,8 +12,9 @@ The quadrature part uses the identity mean = lambda * integral of
 loss(r) * K'(r) dr, taken without the factor lambda, which underflows for a
 dense type I process, and in s = sqrt(2*delta - r), where the integrand is
 analytic (see ``analytic``). The integrand is ``analytic._k_prime(params,
-pathloss)``, the one K' kernel of the package; this module holds no
-pair-correlation formula. For type I that kernel is scaled by its peak e^P
+pathloss)``, the package's one K' closure per process kind, whose bare K' is
+the same closure at unit loss; this module holds no pair-correlation
+formula. For type I that closure is scaled by its peak e^P
 at r = delta, and P is carried as a logarithm: ``eir`` forms
 ln EIR = P + ln(I~ + e^-P * outer) - ln(reference) from the scaled
 integral I~ and the closed-form integrals of the loss beyond 2*delta and
@@ -21,7 +22,8 @@ beyond delta, so its decibels are finite at every density that
 ``HardCoreParams`` accepts. The ratios of
 the affine bounds to the tail are likewise formed without lambda
 (``h_bound_over_tail``), but they leave the float range past
-lambda_p*delta^2 of about 600, where a validation error is raised.
+lambda_p*delta^2 of about 600, where a validation error is raised, as it
+is where a power of delta or of lambda_p*b*delta in a closed form does.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .models import (
     PowerLawPathLoss,
     ProcessKind,
     TabulatedPathLoss,
+    _power,
     intensity,
 )
 from .numerics import _ABS_TOL, _QK21, integrate, upper_incomplete_gamma
@@ -263,7 +266,7 @@ def _h_integral_parts(v: float, x: float, alpha: float) -> tuple[float, float, f
     g1 = upper_incomplete_gamma(s, v * x, scaled=True)
     g2 = upper_incomplete_gamma(s, 2.0 * v * x, scaled=True)
     decay = math.exp(-v * x)
-    return v ** (alpha - 2.0), decay, g1 - decay * g2
+    return _power(v, alpha - 2.0, "v^(alpha - 2)"), decay, g1 - decay * g2
 
 
 def h_integral(v: float, x: float, alpha: float) -> float:
@@ -430,6 +433,8 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     minus quadrature is +2.35 dB at lambda_p*delta^2 = 5, +0.69 dB at 8,
     -13.47 dB at 36 and -92.5 dB at 196; it is within 1 dB only on about
     [7.5, 11]. Warns for lambda_p*delta^2 <= 4, where it is worse still.
+    A lambda_p*delta^2 below the normal float range, or a delta^(2 - alpha)
+    past it, is a validation error.
     """
     if params.kind is not ProcessKind.MATERN_I:
         raise UnsupportedMethodError(
@@ -440,6 +445,11 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     lam_p, delta = params.lambda_p, params.delta
     if delta <= 0:
         raise ValidationError("the EIR approximation requires delta > 0")
+    tangent_term = lam_p * _TANGENT.b * delta * delta
+    if tangent_term < sys.float_info.min:
+        raise ValidationError(
+            f"lambda_p*b*delta^2 = {tangent_term:g} of the EIR approximation "
+            f"leaves the normal float range")
     if lam_p * delta * delta <= 4.0:
         warnings.warn(
             "EIR approximation is inaccurate for lambda_p*delta^2 <= 4 "
@@ -449,8 +459,9 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     log_eir = (math.log(alpha - 2.0)
                + (alpha - 2.0) * math.log(2.0)
                + lam_p * delta * delta * TYPE1_GROWTH_EXPONENT
-               - math.log(lam_p * _TANGENT.b * delta * delta))
-    mean_poisson = 2.0 * math.pi * intensity(params) * delta ** (2.0 - alpha) / (alpha - 2.0)
+               - math.log(tangent_term))
+    mean_poisson = (2.0 * math.pi * intensity(params)
+                    * _power(delta, 2.0 - alpha, "delta^(2 - alpha)") / (alpha - 2.0))
     # the product is formed in the log domain: the ratio overflows long
     # before the hard-core mean does, which underflows with the reference
     mean_hardcore = math.exp(log_eir + math.log(mean_poisson)) if mean_poisson > 0.0 else 0.0

@@ -65,7 +65,8 @@ class HardCoreParams:
     ``delta`` is the minimum separation the thinning enforces; ``delta = 0``
     degenerates both Matérn types to the parent process. The area
     2*pi*delta^2 and the mean number of parents in an exclusion disk,
-    lambda_p*pi*delta^2, must be finite floats.
+    lambda_p*pi*delta^2, must be finite floats, and delta^2 must not
+    underflow to zero when delta > 0.
     """
 
     lambda_p: float
@@ -86,6 +87,11 @@ class HardCoreParams:
             raise ValidationError(
                 f"2*pi*delta^2 or lambda_p*pi*delta^2 overflows a float at "
                 f"lambda_p = {self.lambda_p:g}, delta = {d:g}")
+        # the type II kernel divides by the disk area pi*delta^2
+        if d > 0.0 and d * d == 0.0:
+            raise ValidationError(
+                f"delta^2 leaves the float range (underflows to zero) at "
+                f"delta = {d:g}")
         if not isinstance(self.kind, ProcessKind):
             raise ValidationError(f"kind must be a ProcessKind, got {self.kind!r}")
 
@@ -162,9 +168,10 @@ class PowerLawPathLoss:
         def antideriv_from(lo: float, hi: float) -> float:
             # integral over [lo, hi] with lo >= r0, pure power region
             a = self.alpha
+            head = _power(lo, 2.0 - a, "r^(2 - alpha)")
             if math.isinf(hi):
-                return lo ** (2.0 - a) / (a - 2.0)
-            return (lo ** (2.0 - a) - hi ** (2.0 - a)) / (a - 2.0)
+                return head / (a - 2.0)
+            return (head - hi ** (2.0 - a)) / (a - 2.0)
 
         r0 = self.r0
         if lower >= r0:
@@ -173,7 +180,7 @@ class PowerLawPathLoss:
                     "power path loss with r0 = 0 is not integrable down to r = 0")
             return antideriv_from(lower, upper)
         cut = min(r0, upper)
-        flat = r0 ** (-self.alpha) * (cut * cut - lower * lower) / 2.0
+        flat = _power(r0, -self.alpha, "r0^-alpha") * (cut * cut - lower * lower) / 2.0
         if upper <= r0:
             return flat
         return flat + antideriv_from(r0, upper)
@@ -243,6 +250,16 @@ class TabulatedPathLoss:
 
 
 PathLossModel = Union[PowerLawPathLoss, TabulatedPathLoss]
+
+
+def _power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent for a positive base; a validation error that names
+    ``name`` where the power overflows a float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValidationError(f"{name} = {base:g}^{exponent:g} leaves the float "
+                              f"range") from None
 
 
 # ---------------------------------------------------------------------------

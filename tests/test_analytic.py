@@ -10,6 +10,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from matern_interference import analytic
 from matern_interference.analytic import (
     _k_prime,
     AffineVBound,
@@ -275,8 +276,8 @@ def _k_prime_reference(params, r, loss=None):
     ratio = intensity(params) / lam_p
     if loss is None:
         return 2.0 * math.pi * r * pair_retention_type2(params, r) / (ratio * ratio)
-    prefactor = 2.0 * math.pi / (ratio * ratio)
-    return prefactor * float(loss(r)) * r * pair_retention_type2(params, r)
+    return (2.0 * math.pi * float(loss(r)) * r * pair_retention_type2(params, r)
+            / (ratio * ratio))
 
 
 _KERNEL_LOSSES = {
@@ -312,9 +313,41 @@ def test_k_prime_kernel_matches_pointwise_chain_bit_for_bit(lam_p, delta, kind, 
         assert lam_p * v_union(delta, math.nextafter(2.0 * delta, 0.0)) < 1e-4
     for r in radii:
         want = _k_prime_reference(params, r, pathloss)
-        assert kernel(r).hex() == want.hex(), r
+        if pathloss is not None or delta <= r < 2.0 * delta:
+            # the bare kernel is K' only where k_derivative calls it
+            assert kernel(r).hex() == want.hex(), r
         if pathloss is None:
             assert k_derivative(params, r).hex() == want.hex(), r
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+@pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3])
+def test_k_function_evaluates_its_kernel_inside_the_transition_interval(
+        monkeypatch, kind, delta):
+    # the bare kernel guards neither end of (delta, 2*delta), so every node
+    # of k_function must lie strictly inside it
+    nodes = []
+    factory = analytic._k_prime
+
+    def recording_factory(params, loss=None):
+        kernel, log_peak = factory(params, loss)
+
+        def recording_kernel(r):
+            nodes.append(r)
+            return kernel(r)
+        return recording_kernel, log_peak
+
+    monkeypatch.setattr(analytic, "_k_prime", recording_factory)
+    for density in (1e-5, 1e-3, 0.1, 1.0, 10.0, 100.0, 577.0):
+        params = HardCoreParams(density / (delta * delta), delta, kind)
+        for k in (1.01, 1.5, 2.0, 3.0):
+            nodes.clear()
+            try:
+                k_function(params, k * delta)
+            except ValidationError:  # a dense type I K past the float range
+                assert kind is ProcessKind.MATERN_I and density == 577.0
+            assert nodes
+            assert all(delta < r < 2.0 * delta for r in nodes), (density, k)
 
 
 def test_k_function_poisson_hole_closed_form():

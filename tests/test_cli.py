@@ -2,6 +2,7 @@
 byte-for-byte reproduction through the rerun subcommand."""
 
 import hashlib
+import itertools
 import json
 import math
 import subprocess
@@ -606,6 +607,7 @@ def test_tolerance_error_exits_3(monkeypatch, capsys):
 # regression (a knot loop that never ends, a list that grows without bound)
 # fails here instead of hanging or exhausting the suite.
 _A3 = ["--alpha", "3"]
+_A6 = ["--alpha", "6"]
 _FLOAT_RANGE_PROBES = {
     # lambda_p*pi*delta^2 overflows
     "eir-matern1-1e300-1e10": (2, ["eir", "--process", "matern1", "--lambda-p",
@@ -633,15 +635,35 @@ _FLOAT_RANGE_PROBES = {
                                 "1e300", "--delta", "1", *_A3]),
     "kfun-matern2-1e170-1": (0, ["kfun", "--process", "matern2", "--lambda-p",
                                  "1e170", "--delta", "1"]),
+    # a power of delta overflows: delta^(2 - alpha), or (lambda_p*b*delta)^(alpha - 2)
+    "eir-matern1-1e199-1e-100-a6": (2, ["eir", "--process", "matern1", "--lambda-p",
+                                        "1e199", "--delta", "1e-100", *_A6]),
+    "eir-matern1-1e199-1e-100-a6-approximation": (2, [
+        "eir", "--process", "matern1", "--lambda-p", "1e199", "--delta", "1e-100",
+        *_A6, "--method", "approximation"]),
+    "eir-matern2-1e199-1e-100-a6-upper-bound": (2, [
+        "eir", "--process", "matern2", "--lambda-p", "1e199", "--delta", "1e-100",
+        *_A6, "--method", "upper-bound"]),
+    "bounds-1e199-1e-100-a6": (2, ["bounds", "--lambda-p", "1e199", "--delta",
+                                   "1e-100", *_A6]),
+    "bounds-1e30-1e30-a8": (2, ["bounds", "--lambda-p", "1e30", "--delta", "1e30",
+                                "--alpha", "8"]),
+    "figure1-1e199-1e-100-a6": (2, ["figure1", "--lambda-p", "1e199", "--delta-min",
+                                    "1e-100", "--delta-max", "1e-100", "--steps", "1",
+                                    *_A6]),
+    # r0^-alpha = 1e600, the flat part of the path loss at delta = 0
+    "interference-matern1-1-0-r0-1e-100-a6": (2, [
+        "interference", "--process", "matern1", "--lambda-p", "1", "--delta", "0",
+        *_A6, "--r0", "1e-100", "--method", "quadrature"]),
 }
 
-_LIMITED_CHILD = (
+_LIMIT_ADDRESS_SPACE = (
     "import json, resource, sys\n"
     "limit = 2 << 30\n"
     "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
     "from matern_interference.cli import main\n"
-    "sys.exit(main(json.loads(sys.argv[1])))\n"
 )
+_LIMITED_CHILD = _LIMIT_ADDRESS_SPACE + "sys.exit(main(json.loads(sys.argv[1])))\n"
 
 
 @pytest.mark.parametrize("case", list(_FLOAT_RANGE_PROBES))
@@ -660,3 +682,54 @@ def test_float_range_probe_exits_cleanly(case):
     for row in rows:
         numbers = [v for k, v in row.items() if k not in ("process", "method")]
         assert all(math.isfinite(float(v)) for v in numbers), row
+
+
+# Every analytic command over a grid of parameters from 1e-300 to 1e300,
+# run in one limited child: each run exits 0 or 2 (a named reason), never 1
+# with a traceback.
+_GRID_VALUES = ["1e-300", "1e-30", "1", "1e30", "1e300"]
+_GRID_KINDS = ["matern1", "matern2", "poisson"]
+_GRID_CHILD = _LIMIT_ADDRESS_SPACE + (
+    "import contextlib, io, traceback, warnings\n"
+    "warnings.simplefilter('ignore')\n"
+    "failures = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        try:\n"
+    "            code = main(argv)\n"
+    "        except Exception:\n"
+    "            code, err = 1, io.StringIO(traceback.format_exc())\n"
+    "    if code not in (0, 2) or 'Traceback' in err.getvalue():\n"
+    "        failures.append([argv, code, err.getvalue()])\n"
+    "print(json.dumps(failures))\n"
+)
+
+
+def _grid_argvs():
+    argvs = []
+    for lam_p, delta in itertools.product(_GRID_VALUES, _GRID_VALUES):
+        point = ["--lambda-p", lam_p, "--delta", delta]
+        for alpha in ("2.5", "8"):
+            argvs.append(["bounds", *point, "--alpha", alpha])
+            for kind in _GRID_KINDS:
+                for method in ("quadrature", "upper-bound", "approximation"):
+                    argvs.append(["eir", "--process", kind, *point, "--alpha", alpha,
+                                  "--method", method])
+                argvs.append(["interference", "--process", kind, *point,
+                              "--alpha", alpha, "--method", "quadrature"])
+        for kind in _GRID_KINDS:
+            argvs.append(["kfun", "--process", kind, *point])
+            argvs.append(["intensity", "--process", kind, *point])
+    return argvs
+
+
+def test_float_range_grid_exits_cleanly():
+    argvs = _grid_argvs()
+    assert len(argvs) == 800
+    proc = subprocess.run([sys.executable, "-c", _GRID_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    failures = json.loads(proc.stdout)
+    assert not failures, "\n".join(f"{' '.join(argv)}: exit {code}\n{err}"
+                                    for argv, code, err in failures[:5])

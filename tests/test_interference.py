@@ -195,6 +195,9 @@ def test_h_integral_validation():
                      (math.nan, 1.0, 3.0), (1.0, math.inf, 3.0)):
         with pytest.raises(ValidationError):
             h_integral(*bad_args)
+    # v^(alpha - 2) = (1.3e99)^4 overflows
+    with pytest.raises(ValidationError, match="leaves the float range"):
+        h_integral(1.3e99, 1e-100, 6.0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -464,6 +467,15 @@ def test_eir_approximation_warns_when_sparse():
     params = HardCoreParams(1.0, 1.0, ProcessKind.MATERN_I)
     with pytest.warns(UserWarning, match="inaccurate"):
         eir_type1_approximation(params, 3.0)
+
+
+def test_eir_approximation_refuses_products_past_the_float_range():
+    # lambda_p*b*delta^2 underflows, and delta^(2 - alpha) = 1e400 overflows
+    with pytest.raises(ValidationError, match="leaves the normal float range"):
+        eir_type1_approximation(HardCoreParams(1e-300, 1e-30, ProcessKind.MATERN_I), 2.5)
+    with pytest.raises(ValidationError, match="leaves the float range"), \
+            pytest.warns(UserWarning, match="inaccurate"):
+        eir_type1_approximation(HardCoreParams(1e199, 1e-100, ProcessKind.MATERN_I), 6.0)
 
 
 def test_eir_approximation_survives_extreme_density():

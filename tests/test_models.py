@@ -105,6 +105,15 @@ def test_params_accept_disk_products_inside_the_float_range():
     # 1e300*pi*1e6 = 3.1e306 and 2*pi*1e306 = 6.3e306
     HardCoreParams(1e300, 1e3, ProcessKind.MATERN_I)
     HardCoreParams(1e-300, 1e153, ProcessKind.MATERN_II)
+    HardCoreParams(1.0, 1e-161, ProcessKind.MATERN_II)  # delta^2 = 1e-322 > 0
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-162])
+def test_params_reject_a_delta_whose_square_underflows(delta):
+    # the type II kernel divides by pi*delta^2
+    for kind in ProcessKind:
+        with pytest.raises(ValidationError, match=r"delta\^2 leaves the float range"):
+            HardCoreParams(1.0, delta, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +128,14 @@ def test_power_law_validation():
         PowerLawPathLoss(alpha=1.5)
     with pytest.raises(ValidationError):
         PowerLawPathLoss(alpha=3.0, r0=-0.1)
+
+
+def test_power_law_radial_integral_past_the_float_range():
+    # (1e-100)^-4 and (1e-100)^-6 overflow
+    with pytest.raises(ValidationError, match="leaves the float range"):
+        PowerLawPathLoss(6.0).radial_integral(1e-100)
+    with pytest.raises(ValidationError, match="leaves the float range"):
+        PowerLawPathLoss(6.0, r0=1e-100).radial_integral(0.0)
 
 
 def test_power_law_evaluation_with_cutoff():

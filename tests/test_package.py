@@ -2,6 +2,7 @@
 the simulator names served lazily by the package ``__getattr__``, and the
 surface is the README's library quick start plus the errors and version."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -11,6 +12,8 @@ import pytest
 import matern_interference
 from matern_interference import models, simulate
 from matern_interference.models import HardCoreParams, ProcessKind
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -33,7 +36,7 @@ def test_every_submodule_export_resolves(module):
 
 
 def test_readme_quick_start_imports_the_exported_surface():
-    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = _ROOT / "README.md"
     block = re.search(r"from matern_interference import \(([^)]*)\)",
                       readme.read_text(encoding="utf-8"))
     assert block is not None
@@ -58,3 +61,42 @@ def test_readme_quick_start_imports_the_exported_surface():
 def test_default_window_radius_lives_in_models(lam, delta, window, kind):
     assert simulate.default_window_radius is models.default_window_radius
     assert models.default_window_radius(HardCoreParams(lam, delta, kind)) == window
+
+
+def _module_imports(tree):
+    """The import statements at module level, including those under a
+    module-level ``if`` or ``try``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(_ROOT)) for d in ("src", "scripts") for p in (_ROOT / d).rglob("*.py")))
+def test_no_dead_module_imports(path):
+    # every name a module-level import binds is used in the module, listed
+    # in its __all__, or marked "# noqa: F401" on the import
+    source = (_ROOT / path).read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    dead = []
+    for node in _module_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                dead.append(f"{path}:{node.lineno} {name}")
+    assert not dead
