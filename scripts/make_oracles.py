@@ -152,6 +152,11 @@ def main() -> None:
     beyond = 2 * pi * (2 * d9)**(2 - alpha3) / (alpha3 - 2)
     for name, a, b in (("lower", a_tan, b_tan), ("upper", a_cho, b_cho)):
         print(f"matern1_{name}:", mp.nstr((bound_ratio(lam4, a, b, d9) + 1) * beyond, 17))
+    # the EIR depends on lambda_p*delta^2 and alpha alone: 4 * 9^2 = 324 at
+    # delta = 1, times the Poisson-hole mean over lambda at delta = 9
+    eir_d9 = 10 ** (dense_type1_eir_db(324, alpha3) / 10)
+    print("matern1_quadrature:",
+          mp.nstr(eir_d9 * 2 * pi * d9**(2 - alpha3) / (alpha3 - 2), 17))
 
     print("== type II Palm origin mark (lambda_p=2, delta=0.5) ==")
     # density x e^(-x m) / (1 - e^(-x)) on [0, 1]; the ball then holds

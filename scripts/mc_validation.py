@@ -69,9 +69,8 @@ def main(argv=None) -> int:
                                    replicates=args.replicates, seed=args.seed)
             t0 = time.perf_counter()
             ens = run_palm_ensemble(params, cfg)
-            est = interference_estimate_from_ensemble(ens, params, pathloss,
-                                                      cfg.tail_policy)
-            lam_hat, _ = intensity_estimate_from_ensemble(ens, params)
+            est = interference_estimate_from_ensemble(ens, params, pathloss)
+            lam_hat, _ = intensity_estimate_from_ensemble(ens)
             elapsed = time.perf_counter() - t0
             want = mean_interference_quadrature(params, pathloss)
             z = (est.mean - want) / est.std_error if est.std_error else 0.0

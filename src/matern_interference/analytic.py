@@ -140,7 +140,7 @@ def pair_retention_type2(params: HardCoreParams, r: float) -> float:
     area_disk = math.pi * delta * delta
     x = lam_p * area_disk
     if r >= 2.0 * delta:
-        single = -math.expm1(-x) / x
+        single = -math.expm1(-x) / x if x > 0.0 else 1.0
         return single * single
     v = v_union(delta, r)
     y = lam_p * v

@@ -286,6 +286,17 @@ def _run_sample(p: dict):
     return rows, ["x", "y", "mark"]
 
 
+def _times_eir(poisson_norm: float, eir_linear: float, name: str,
+               delta: float) -> float:
+    """A figure1 curve: the Poisson-hole mean over lambda times an EIR,
+    which is the process' own mean over lambda."""
+    value = poisson_norm * eir_linear
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} = poisson_hole * EIR leaves the float "
+                              f"range at delta = {delta:g}")
+    return value
+
+
 def _run_figure1(p: dict):
     lam_p, alpha, r0 = p["lambda_p"], p["alpha"], p["r0"]
     pathloss = _pathloss(alpha, r0)
@@ -298,6 +309,7 @@ def _run_figure1(p: dict):
     for i in range(steps):
         delta = lo + (hi - lo) * i / max(steps - 1, 1)
         params1 = HardCoreParams(lam_p, delta, ProcessKind.MATERN_I)
+        params2 = HardCoreParams(lam_p, delta, ProcessKind.MATERN_II)
         poisson_norm = 2.0 * math.pi * pathloss.radial_integral(delta, math.inf)
         # the type I means over lambda: the tail's, times one plus the
         # lambda-free ratio of the transition bound to the tail
@@ -310,9 +322,19 @@ def _run_figure1(p: dict):
                 (h_bound_over_tail(params1, pathloss, upper_on_v) + 1.0) * beyond,
             "matern1_upper":
                 (h_bound_over_tail(params1, pathloss, lower_on_v) + 1.0) * beyond,
+            "matern1_quadrature": _times_eir(
+                poisson_norm, eir(params1, pathloss).eir_linear,
+                "matern1_quadrature", delta),
+            "matern2_quadrature": _times_eir(
+                poisson_norm, eir(params2, pathloss).eir_linear,
+                "matern2_quadrature", delta),
+            "matern1_approximation": _times_eir(
+                poisson_norm, eir_type1_approximation(params1, alpha).eir_linear,
+                "matern1_approximation", delta),
         })
     return rows, ["delta", "poisson_hole", "matern2_upper_bound",
-                  "matern1_lower", "matern1_upper"]
+                  "matern1_lower", "matern1_upper", "matern1_quadrature",
+                  "matern2_quadrature", "matern1_approximation"]
 
 
 _RUNNERS = {

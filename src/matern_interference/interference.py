@@ -408,16 +408,21 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     # both means carry the factor lambda, so the ratio is formed from
     # lambda-free integrals, with the type I peak e^P as a logarithm
     scaled, log_peak = _transition_integral(params, pathloss)
-    outer = 2.0 * math.pi * pathloss.radial_integral(2.0 * params.delta, math.inf)
+    two_pi = 2.0 * math.pi
+    radial = pathloss.radial_integral(2.0 * params.delta, math.inf)
+    outer = two_pi * radial
     total = scaled + math.exp(-log_peak) * outer  # (I + outer) * e^-P
-    reference = 2.0 * math.pi * pathloss.radial_integral(params.delta, math.inf)
+    reference = two_pi * pathloss.radial_integral(params.delta, math.inf)
     if total == 0.0 or reference == 0.0:
         where = (f"its table ends at r = {pathloss.support_end}"
                  if isinstance(pathloss, TabulatedPathLoss) else "it underflows")
         raise ValidationError(f"the path loss is zero beyond delta = {params.delta} "
                               f"({where}): the EIR compares two zero means")
     log_eir = log_peak + math.log(total) - math.log(reference)
-    mean_hardcore = _annulus_mean(params, scaled) + _times_intensity(params, outer)
+    # the tail term in the operation order of interference_outside_2delta,
+    # so that mean_hardcore is mean_interference_quadrature's value
+    mean_hardcore = (_annulus_mean(params, scaled)
+                     + _times_intensity(params, radial, two_pi))
     return _report(mean_hardcore, mean_poisson, method, log_eir)
 
 

@@ -194,6 +194,13 @@ def test_pair_retention_type2_tends_to_one_for_sparse_parents():
     assert pair_retention_type2(sparse, 1.5) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_pair_retention_type2_where_the_disk_mass_underflows():
+    # lambda_p*pi*delta^2 underflows to 0: a lone parent always survives
+    sparse = HardCoreParams(1e-300, 1e-20, ProcessKind.MATERN_II)
+    assert pair_retention_type2(sparse, 3e-20) == 1.0
+    assert pair_retention_type2(sparse, 1.5e-20) == 1.0
+
+
 def test_pair_retention_type2_dense_limit_at_contact():
     # for lambda_p -> infinity, k(delta) -> 2 / (lambda_p^2 pi delta^4 C2_LENS)
     lam = 50.0

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -15,6 +16,8 @@ from matern_interference.cli import main
 from matern_interference.errors import ToleranceError
 from matern_interference.interference import (
     NU_TYPE2_UNIVERSAL,
+    eir,
+    eir_type1_approximation,
     eir_type2_bound,
     mean_interference_quadrature,
 )
@@ -445,8 +448,9 @@ def test_bounds_at_huge_density_finishes_without_a_traceback(capsys):
 
 
 # mpmath (scripts/make_oracles.py): figure1's type I means over lambda at
-# lambda_p = 4, delta = 9, alpha = 3, lower and upper
+# lambda_p = 4, delta = 9, alpha = 3, lower and upper, and by quadrature
 FIGURE1_DENSE_T1_D9 = (1.1690794037867464e+154, 1.2232820669687482e+170)
+FIGURE1_DENSE_T1_D9_QUADRATURE = 8.6932360541118748e+169
 
 
 def test_figure1_dense_type1_is_finite(capsys):
@@ -463,19 +467,87 @@ def test_figure1_dense_type1_is_finite(capsys):
         FIGURE1_DENSE_T1_D9[1], rel=1e-11)
 
 
+def test_figure1_dense_type1_quadrature_matches_oracle(capsys):
+    code, out, err = run_cli(capsys, "figure1", "--lambda-p", "4",
+                             "--delta-min", "9", "--delta-max", "9", "--steps", "1",
+                             "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out.split("\n", 1)[1])
+    assert row["matern1_quadrature"] == pytest.approx(
+        FIGURE1_DENSE_T1_D9_QUADRATURE, rel=1e-11)
+
+
 def test_figure1_rows(capsys):
     code, out, _ = run_cli(capsys, "figure1", "--steps", "5")
     assert code == 0
     rows, fields = csv_rows(out)
     assert fields == ["delta", "poisson_hole", "matern2_upper_bound",
-                      "matern1_lower", "matern1_upper"]
+                      "matern1_lower", "matern1_upper", "matern1_quadrature",
+                      "matern2_quadrature", "matern1_approximation"]
     assert len(rows) == 5
     for row in rows:
         lo = float(row["matern1_lower"])
         hi = float(row["matern1_upper"])
         ref = float(row["poisson_hole"])
-        assert 0.0 < lo <= hi
+        assert 0.0 < lo <= float(row["matern1_quadrature"]) <= hi
         assert float(row["matern2_upper_bound"]) > ref
+        assert float(row["matern2_quadrature"]) <= float(row["matern2_upper_bound"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--steps", "20"],
+    ["--lambda-p", "4", "--delta-min", "7", "--delta-max", "9"],
+    ["--lambda-p", "1.5", "--alpha", "4", "--r0", "0.05", "--steps", "4"],
+])
+def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, tmp_path, capsys):
+    # JSON keeps every bit, so each curve is compared with its product exactly
+    path = tmp_path / "fig.json"
+    code, out, err = run_cli(capsys, "figure1", *argv, "--format", "json",
+                             "--out", str(path))
+    assert code == 0, err
+    text = path.read_text(encoding="utf-8")
+    header = json.loads(text.split("\n", 1)[0][2:])
+    rows = json.loads(text.split("\n", 1)[1])
+    p = header["params"]
+    pathloss = PowerLawPathLoss(p["alpha"], p["r0"])
+    for row in rows:
+        assert all(math.isfinite(v) for v in row.values()), row
+        ref, delta = row["poisson_hole"], row["delta"]
+        params1 = HardCoreParams(p["lambda_p"], delta, ProcessKind.MATERN_I)
+        params2 = HardCoreParams(p["lambda_p"], delta, ProcessKind.MATERN_II)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            approx = eir_type1_approximation(params1, p["alpha"])
+        assert row["matern1_quadrature"] == ref * eir(params1, pathloss).eir_linear
+        assert row["matern2_quadrature"] == ref * eir(params2, pathloss).eir_linear
+        assert row["matern1_approximation"] == ref * approx.eir_linear
+    again = tmp_path / "again.json"
+    assert run_cli(capsys, "rerun", "--manifest", str(path), "--out", str(again))[0] == 0
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_figure1_sparse_approximation_warns_on_stderr_only():
+    # in a child, where the warning takes its default route; lambda_p*delta^2
+    # is 0.02 in the first row, where the approximation warns
+    proc = subprocess.run([sys.executable, "-m", "matern_interference.cli",
+                           "figure1", "--steps", "3"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "EIR approximation is inaccurate" not in proc.stdout
+    assert "EIR approximation is inaccurate" in proc.stderr
+    rows, _ = csv_rows(proc.stdout)
+    assert len(rows) == 3
+
+
+def test_figure1_exits_2_where_a_curve_leaves_the_float_range(capsys):
+    # the bands are finite here, but the sparse approximation's EIR of about
+    # 1/(lambda_p*b*delta^2) times the Poisson-hole mean overflows
+    code, out, err = run_cli(capsys, "figure1", "--lambda-p", "1e-300",
+                             "--delta-min", "1e-3", "--delta-max", "1e-3",
+                             "--steps", "1", "--alpha", "2.5")
+    assert code == 2
+    assert out == ""
+    assert "matern1_approximation" in err and "float range" in err
 
 
 def test_json_format_mirrors_csv(capsys):
@@ -718,6 +790,8 @@ def _grid_argvs():
                                   "--method", method])
                 argvs.append(["interference", "--process", kind, *point,
                               "--alpha", alpha, "--method", "quadrature"])
+            argvs.append(["figure1", "--lambda-p", lam_p, "--delta-min", delta,
+                          "--delta-max", delta, "--steps", "1", "--alpha", alpha])
         for kind in _GRID_KINDS:
             argvs.append(["kfun", "--process", kind, *point])
             argvs.append(["intensity", "--process", kind, *point])
@@ -726,7 +800,7 @@ def _grid_argvs():
 
 def test_float_range_grid_exits_cleanly():
     argvs = _grid_argvs()
-    assert len(argvs) == 800
+    assert len(argvs) == 850
     proc = subprocess.run([sys.executable, "-c", _GRID_CHILD, json.dumps(argvs)],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -314,6 +314,18 @@ def test_eir_quadrature_composition_matches_direct_ratio():
                 report.eir_linear * report.mean_poisson_hole, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_eir_mean_is_the_quadrature_mean_bit_for_bit(kind):
+    # eir and `interference --method quadrature` print the same mean
+    for lam_p in (0.5, 1.0, 2.0, 3.7, 4.0):
+        for delta in (0.25, 0.5, 0.7, 1.0, 1.7, 2.0):
+            params = HardCoreParams(lam_p, delta, kind)
+            for alpha in (2.5, 3.0, 4.0, 6.0):
+                pathloss = PowerLawPathLoss(alpha)
+                assert (eir(params, pathloss).mean_hardcore
+                        == mean_interference_quadrature(params, pathloss))
+
+
 def test_eir_quadrature_dense_type1_between_affine_bounds():
     params = HardCoreParams(2.0, 2.0, ProcessKind.MATERN_I)
     report = eir(params, PL3)

@@ -31,12 +31,3 @@ def test_mc_validation_script_runs():
     assert [line.split()[0] for line in lines[2:4]] == ["matern1", "matern2"]
     assert lines[-1].startswith("worst |z| = ")
 
-
-def test_figure_sweep_script_runs():
-    proc = run_script("figure_sweep.py", "--steps", "2")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["delta", "type1_db", "type1_lower_db",
-                                "type1_upper_db", "type1_approx_db",
-                                "type2_db", "type2_cap_db"]
-    assert len(lines) == 3
