@@ -22,14 +22,17 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
 from .analytic import affine_v_bounds, k_derivative, k_function, v_union
-from .errors import ToleranceError, ValidationError
+from .errors import ApproximationWarning, ToleranceError, ValidationError
 from .interference import (
     _LOG10_E10,
+    _SPARSE_APPROXIMATION,
+    _warn_sparse_approximation,
     EirMethod,
     eir,
     eir_type1_approximation,
@@ -306,6 +309,7 @@ def _run_figure1(p: dict):
     lower_on_v, upper_on_v = affine_v_bounds()
     type2_cap = eir_type2_bound(alpha)
     rows = []
+    sparse = []  # lambda_p*delta^2 of the rows where the approximation warns
     for i in range(steps):
         delta = lo + (hi - lo) * i / max(steps - 1, 1)
         params1 = HardCoreParams(lam_p, delta, ProcessKind.MATERN_I)
@@ -314,7 +318,7 @@ def _run_figure1(p: dict):
         # the type I means over lambda: the tail's, times one plus the
         # lambda-free ratio of the transition bound to the tail
         beyond = 2.0 * math.pi * pathloss.radial_integral(2.0 * delta, math.inf)
-        rows.append({
+        row = {
             "delta": delta,
             "poisson_hole": poisson_norm,
             "matern2_upper_bound": type2_cap * poisson_norm,
@@ -328,10 +332,19 @@ def _run_figure1(p: dict):
             "matern2_quadrature": _times_eir(
                 poisson_norm, eir(params2, pathloss).eir_linear,
                 "matern2_quadrature", delta),
-            "matern1_approximation": _times_eir(
-                poisson_norm, eir_type1_approximation(params1, alpha).eir_linear,
-                "matern1_approximation", delta),
-        })
+        }
+        # one warning for the sweep, after it, instead of one per row
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ApproximationWarning)
+            approx = eir_type1_approximation(params1, alpha)
+        if lam_p * delta * delta <= _SPARSE_APPROXIMATION:
+            sparse.append(lam_p * delta * delta)
+        row["matern1_approximation"] = _times_eir(
+            poisson_norm, approx.eir_linear, "matern1_approximation", delta)
+        rows.append(row)
+    if sparse:
+        _warn_sparse_approximation(f"{min(sparse):g} to {max(sparse):g} in "
+                                   f"{len(sparse)} of {steps} rows")
     return rows, ["delta", "poisson_hole", "matern2_upper_bound",
                   "matern1_lower", "matern1_upper", "matern1_quadrature",
                   "matern2_quadrature", "matern1_approximation"]

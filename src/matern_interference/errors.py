@@ -9,6 +9,10 @@ class UnsupportedMethodError(ValidationError):
     """A method/process combination the theory does not cover."""
 
 
+class ApproximationWarning(UserWarning):
+    """A closed-form approximation used where it is known to be inaccurate."""
+
+
 class ToleranceError(RuntimeError):
     """A numerical routine could not reach its requested tolerance.
 

@@ -40,7 +40,7 @@ from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime, affine_v_bounds
 # interference.pair_retention_type2, so they stay importable from here
 # until that count comes from a diagnostics record.
 from .analytic import pair_retention_type2, v_union  # noqa: F401
-from .errors import UnsupportedMethodError, ValidationError
+from .errors import ApproximationWarning, UnsupportedMethodError, ValidationError
 from .models import (
     HardCoreParams,
     PathLossModel,
@@ -281,6 +281,18 @@ def h_integral(v: float, x: float, alpha: float) -> float:
     return power * decay * gammas
 
 
+def _affine_rate(params: HardCoreParams, bound: AffineVBound) -> float:
+    """lambda_p*b*delta, the rate of the closed forms' exp(-v*r); a
+    validation error where the product leaves the float range, as it
+    underflows to 0 for a sparse process with a tiny delta."""
+    rate = params.lambda_p * bound.b * params.delta
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValidationError(
+            f"lambda_p*b*delta = {params.lambda_p:g}*{bound.b:g}*{params.delta:g} "
+            "of the affine bound leaves the float range")
+    return rate
+
+
 def h_bound(params: HardCoreParams, pathloss: PathLossModel,
             bound: AffineVBound) -> float:
     """Transition-annulus interference with the union area replaced by an
@@ -296,7 +308,7 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
     lam_p, delta = params.lambda_p, params.delta
     prefactor = 2.0 * math.pi * lam_p * math.exp(-lam_p * bound.a * delta * delta)
     if isinstance(pathloss, PowerLawPathLoss):
-        return prefactor * h_integral(lam_p * bound.b * delta, delta, pathloss.alpha)
+        return prefactor * h_integral(_affine_rate(params, bound), delta, pathloss.alpha)
     rate = lam_p * bound.b * delta
 
     def integrand(r: float) -> float:
@@ -328,7 +340,8 @@ def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
     if params.delta <= 0:
         raise ValidationError("h_bound_over_tail requires delta > 0")
     lam_p, delta = params.lambda_p, params.delta
-    power, _, gammas = _h_integral_parts(lam_p * bound.b * delta, delta, pathloss.alpha)
+    power, _, gammas = _h_integral_parts(_affine_rate(params, bound), delta,
+                                         pathloss.alpha)
     exponent = lam_p * delta * delta * (math.pi - bound.a - bound.b)
     try:
         ratio = (math.exp(exponent) * power * gammas
@@ -426,6 +439,19 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     return _report(mean_hardcore, mean_poisson, method, log_eir)
 
 
+# eir_type1_approximation warns at and below this lambda_p*delta^2
+_SPARSE_APPROXIMATION = 4.0
+
+
+def _warn_sparse_approximation(got: str, stacklevel: int = 2) -> None:
+    """The ApproximationWarning of eir_type1_approximation, for the
+    lambda_p*delta^2 described by ``got``."""
+    warnings.warn(
+        f"EIR approximation is inaccurate for lambda_p*delta^2 <= 4 (got {got}); "
+        "it comes closest to the exact value near lambda_p*delta^2 = 9",
+        ApproximationWarning, stacklevel=stacklevel)
+
+
 def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     """Closed-form type I EIR approximation, built from the lower affine
     bound and the asymptotics of h_integral.
@@ -455,12 +481,8 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
         raise ValidationError(
             f"lambda_p*b*delta^2 = {tangent_term:g} of the EIR approximation "
             f"leaves the normal float range")
-    if lam_p * delta * delta <= 4.0:
-        warnings.warn(
-            "EIR approximation is inaccurate for lambda_p*delta^2 <= 4 "
-            f"(got {lam_p * delta * delta:g}); it comes closest to the "
-            "exact value near lambda_p*delta^2 = 9",
-            stacklevel=2)
+    if lam_p * delta * delta <= _SPARSE_APPROXIMATION:
+        _warn_sparse_approximation(f"{lam_p * delta * delta:g}", stacklevel=3)
     log_eir = (math.log(alpha - 2.0)
                + (alpha - 2.0) * math.log(2.0)
                + lam_p * delta * delta * TYPE1_GROWTH_EXPONENT

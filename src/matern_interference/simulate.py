@@ -15,18 +15,24 @@ that mark (see _draw_palm_parent). Window truncation is corrected with an
 analytic tail that is unbiased because every process kind has exactly
 Poisson second-order structure beyond twice the hard-core distance.
 
-Determinism contract: replicate k draws from a generator seeded with
-SeedSequence(entropy=seed, spawn_key=(k,)), so results are independent of
-execution order, chunking, and parallelism. The per-replicate draw order is
-fixed: (Poisson hole, type I) parent count, squared radii, angles; (type II)
-origin mark, interior count, one block of interior squared radii, angles
-and marks, then exterior count, squared radii, angles, marks; fading
-weights are drawn last, only for retained in-window points. Ensembles are
-thinned in chunks of about 2**14 expected parents (never less than one
-replicate) on up to two threads; neither the chunk size nor the thread
-count changes a single bit of the result, because every chunk draws from
-its own replicates' streams and every thinning decision is made on the
-replicate's own coordinates.
+Determinism contract: replicate k draws from the generator
+default_rng(SeedSequence(entropy=seed, spawn_key=(k,))), so results are
+independent of execution order, chunking, and parallelism. Its seed words
+are computed here with SeedSequence's documented mixing (replicate_rng),
+and a test pins them to NumPy's. The per-replicate draw order is fixed:
+(Poisson hole, type I) parent count, then one block of standard uniforms
+holding the squared radii and then the angles; (type II) origin mark,
+interior count, one block of interior squared radii, angles and marks, then
+exterior count and one block of its squared radii, angles and marks;
+fading weights are drawn last, only for retained in-window points. A
+replicate only draws its blocks; scaling them into squared radii, angles
+and marks, and the coordinates, are elementwise and done once per chunk,
+which gives each replicate the bits of its own draws (_palm_parents).
+Ensembles are thinned in chunks of about 2**13 expected parents (never
+less than one replicate) on up to two threads; neither the chunk size nor
+the thread count changes a single bit of the result, because every chunk
+draws from its own replicates' streams and every thinning decision is made
+on the replicate's own coordinates.
 """
 
 from __future__ import annotations
@@ -34,11 +40,13 @@ from __future__ import annotations
 import enum
 import math
 import os
+import struct
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 from .models import (
@@ -73,8 +81,10 @@ _TWO_PI = 2.0 * math.pi
 # chunk's coordinate, tree and pair arrays grow with its parents, so a
 # budget in parents, not replicates, bounds its memory at any density and
 # window; at about 2**15 parents and beyond, every chunk also faults in
-# fresh pages for those arrays instead of reusing freed ones.
-_PARENT_BUDGET = 2**14
+# fresh pages for those arrays instead of reusing freed ones. With the
+# geometry formed per chunk, 2**13 runs within a few percent of 2**14's
+# speed and holds the two chunks in flight 2-5 MB lower.
+_PARENT_BUDGET = 2**13
 # Chunks in flight at once. cKDTree and the large NumPy reductions release
 # the GIL, so a chunk's neighbour search overlaps the other chunk's search
 # or its Python-bound parent draws. Both chunks hold a neighbour search's
@@ -120,12 +130,141 @@ def _check_window(params: HardCoreParams, cfg: SimulationConfig) -> None:
             f"3*delta = {3.0 * params.delta}")
 
 
+# SeedSequence's mixing constants (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq_fe), fixed since NumPy 1.17 so that seeded
+# streams stay reproducible across versions
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# generate_state's hash constants for the eight 32-bit output words: word i
+# is xored with _INIT_B*_MULT_B**i and multiplied by _INIT_B*_MULT_B**(i + 1)
+(_OX0, _OX1, _OX2, _OX3, _OX4, _OX5, _OX6, _OX7) = (
+    _INIT_B * _MULT_B**i & _MASK32 for i in range(8))
+(_OM0, _OM1, _OM2, _OM3, _OM4, _OM5, _OM6, _OM7) = (
+    _INIT_B * _MULT_B**(i + 1) & _MASK32 for i in range(8))
+_PACK_WORDS = struct.Struct("=4Q").pack
+
+
+def _uint32_words(value: int) -> tuple[int, ...]:
+    """SeedSequence's little-endian 32-bit words of value (one for 0)."""
+    return (value & _MASK32, value >> 32) if value >> 32 else (value,)
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """SeedSequence(entropy=seed, spawn_key=(k,))'s pool after the seed's
+    words, zero-padded to the pool size of four, are mixed in, followed by
+    the (xor, multiply) hash constants that mix_entropy goes on to apply to
+    the replicate's first and second word, one pair per pool word. Only
+    the replicate's words remain to be mixed."""
+    words = _uint32_words(seed)
+    hash_const = _INIT_A
+    pool = []
+    for word in words + (0,) * (4 - len(words)):
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    consts = []
+    for _ in range(8):
+        consts.append(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        consts.append(hash_const)
+    return (*pool, *consts)
+
+
+def _pcg64_seed_words(seed: int, replicate: int) -> np.ndarray:
+    """SeedSequence(entropy=seed, spawn_key=(replicate,))
+    .generate_state(4, np.uint64) for 0 <= seed, replicate < 2**64: the
+    replicate's words mixed into the seed's cached pool, unrolled."""
+    (p0, p1, p2, p3, a0, b0, a1, b1, a2, b2, a3, b3,
+     a4, b4, a5, b5, a6, b6, a7, b7) = _seed_pool(seed)
+    mask, mix_l, mix_r = _MASK32, _MIX_L, _MIX_R
+    k = replicate & mask
+    w = (k ^ a0) * b0 & mask
+    p0 = (mix_l * p0 - mix_r * (w ^ w >> 16)) & mask
+    p0 ^= p0 >> 16
+    w = (k ^ a1) * b1 & mask
+    p1 = (mix_l * p1 - mix_r * (w ^ w >> 16)) & mask
+    p1 ^= p1 >> 16
+    w = (k ^ a2) * b2 & mask
+    p2 = (mix_l * p2 - mix_r * (w ^ w >> 16)) & mask
+    p2 ^= p2 >> 16
+    w = (k ^ a3) * b3 & mask
+    p3 = (mix_l * p3 - mix_r * (w ^ w >> 16)) & mask
+    p3 ^= p3 >> 16
+    k = replicate >> 32
+    if k:  # a second word only past 2**32 - 1
+        w = (k ^ a4) * b4 & mask
+        p0 = (mix_l * p0 - mix_r * (w ^ w >> 16)) & mask
+        p0 ^= p0 >> 16
+        w = (k ^ a5) * b5 & mask
+        p1 = (mix_l * p1 - mix_r * (w ^ w >> 16)) & mask
+        p1 ^= p1 >> 16
+        w = (k ^ a6) * b6 & mask
+        p2 = (mix_l * p2 - mix_r * (w ^ w >> 16)) & mask
+        p2 ^= p2 >> 16
+        w = (k ^ a7) * b7 & mask
+        p3 = (mix_l * p3 - mix_r * (w ^ w >> 16)) & mask
+        p3 ^= p3 >> 16
+    # generate_state cycles through the pool twice; 64-bit word j is
+    # 32-bit words 2j (low) and 2j + 1 (high)
+    w0 = (p0 ^ _OX0) * _OM0 & mask
+    w1 = (p1 ^ _OX1) * _OM1 & mask
+    w2 = (p2 ^ _OX2) * _OM2 & mask
+    w3 = (p3 ^ _OX3) * _OM3 & mask
+    w4 = (p0 ^ _OX4) * _OM4 & mask
+    w5 = (p1 ^ _OX5) * _OM5 & mask
+    w6 = (p2 ^ _OX6) * _OM6 & mask
+    w7 = (p3 ^ _OX7) * _OM7 & mask
+    return np.frombuffer(_PACK_WORDS(
+        w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
+        w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32, w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32),
+        dtype=np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """The ISeedSequence PCG64 is seeded through: it hands PCG64 the four
+    words it asks for (generate_state(4, np.uint64)), computed already."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._words
+
+
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """The stream for one replicate; the (seed, replicate) pair fully
-    determines it regardless of how many other replicates run."""
-    # the bit generator default_rng would pick, without its dispatch
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))))
+    determines it regardless of how many other replicates run. It is
+    default_rng(SeedSequence(entropy=seed, spawn_key=(replicate,))), with
+    the seed words for in-range ints computed here (_pcg64_seed_words):
+    building the SeedSequence cost more than the rest of a sparse
+    replicate. Anything else goes through SeedSequence and its errors."""
+    if (type(seed) is int and type(replicate) is int
+            and 0 <= seed < 2**64 and 0 <= replicate < 2**64):
+        seed_seq = _SeedWords(_pcg64_seed_words(seed, replicate))
+    else:
+        seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
+    return np.random.Generator(np.random.PCG64(seed_seq))
 
 
 def _uniform_in_annulus(rng: np.random.Generator, r_inner: float,
@@ -190,10 +329,13 @@ def _strict_pairs(points: np.ndarray, delta: float,
     pairs = tree.query_pairs(delta + pad, output_type="ndarray")
     if len(pairs) == 0:
         return pairs
-    # np.take gathers rows several times faster than fancy indexing
-    diff = np.take(points, pairs[:, 0], axis=0)
-    diff -= np.take(points, pairs[:, 1], axis=0)
-    strict = np.einsum("ij,ij->i", diff, diff) < delta * delta
+    # gathered per coordinate from contiguous columns; dx*dx + dy*dy is
+    # the row sum that einsum("ij,ij->i") gave, bit for bit
+    x, y = np.ascontiguousarray(points.T)
+    i, j = pairs.T
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    strict = dx * dx + dy * dy < delta * delta
     return pairs if strict.all() else pairs[strict]
 
 
@@ -253,48 +395,90 @@ def reliable_mask(pattern: PointPattern, guard: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _parent_radius(params: HardCoreParams, cfg: SimulationConfig) -> float:
+    """Radius of the disk holding a Palm replicate's parents: competitors
+    of any in-window point of a Matern process live within delta of it."""
+    if params.kind is ProcessKind.POISSON_HOLE:
+        return cfg.window_radius
+    return cfg.window_radius + params.delta
+
+
 def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
                       rng: np.random.Generator):
-    """Parent configuration conditioned on a retained point at the origin.
+    """Parent configuration conditioned on a retained point at the origin,
+    as the standard uniforms it is built from (see _palm_parents).
 
-    Returns (rsq, theta, marks, origin_mark): the parents as squared radii
-    and angles, which _polar_points turns into coordinates (one call per
-    replicate, or one per chunk of them). Every draw is exact. A type I
-    origin is retained iff its exclusion ball is empty, and a Poisson
-    process conditioned on an empty ball is the process on the complement.
-    A type II origin with mark m is retained with probability exp(-a*m),
-    a = lambda_p*pi*delta^2, so under the Palm law its mark has density
-    proportional to exp(-a*m) on [0, 1], and given m the ball holds a
-    Poisson number of parents of mean a*(1 - m), with marks uniform on
-    (m, 1) (Stoyan, Kendall and Mecke, Stochastic Geometry and its
-    Applications). Beyond the ball the parents are unconditioned.
+    Returns (interior, exterior, origin_mark). ``exterior`` holds the
+    parents between delta and the parent radius: one block of n squared
+    radii, n angles and, for type II, n marks. For type II, ``interior``
+    is the same block for the parents inside the exclusion ball, drawn
+    first, and ``origin_mark`` the origin's mark; both are None otherwise.
+    Every draw is exact. A type I origin is retained iff its exclusion
+    ball is empty, and a Poisson process conditioned on an empty ball is
+    the process on the complement. A type II origin with mark m is
+    retained with probability exp(-a*m), a = lambda_p*pi*delta^2, so under
+    the Palm law its mark has density proportional to exp(-a*m) on [0, 1],
+    and given m the ball holds a Poisson number of parents of mean
+    a*(1 - m), with marks uniform on (m, 1) (Stoyan, Kendall and Mecke,
+    Stochastic Geometry and its Applications). Beyond the ball the parents
+    are unconditioned.
     """
     delta, lam_p = params.delta, params.lambda_p
-    # competitors of any in-window point of a Matern process live here
-    r_outer = (cfg.window_radius if params.kind is ProcessKind.POISSON_HOLE
-               else cfg.window_radius + delta)
-    is_type2 = params.kind is ProcessKind.MATERN_II
-    if is_type2:
+    r_outer = _parent_radius(params, cfg)
+    interior = origin_mark = None
+    if params.kind is ProcessKind.MATERN_II:
         a = lam_p * math.pi * delta * delta
         u0 = rng.random()
         # inverse of the mark's distribution function
         # (1 - exp(-a*m)) / (1 - exp(-a))
         origin_mark = -math.log1p(u0 * math.expm1(-a)) / a if a > 0 else u0
-        n_in = int(rng.poisson(a * (1.0 - origin_mark)))
-        # uniform(0, b, n) is b times the next n standard doubles, so one
-        # block holds the interior's squared radii, angles and marks
-        u = rng.random(3 * n_in)
-        rsq_in = delta * delta * u[:n_in]
-        theta_in = _TWO_PI * u[n_in:2 * n_in]
-        marks_in = origin_mark + (1.0 - origin_mark) * u[2 * n_in:]
+        interior = rng.random(3 * int(rng.poisson(a * (1.0 - origin_mark))))
     area = math.pi * (r_outer * r_outer - delta * delta)
     n = int(rng.poisson(lam_p * area))
-    rsq, theta = _uniform_in_annulus(rng, delta, r_outer, n)
+    exterior = rng.random((2 if interior is None else 3) * n)
+    return interior, exterior, origin_mark
+
+
+def _palm_parents(params: HardCoreParams, cfg: SimulationConfig,
+                  blocks: list, origin_marks: Optional[list]):
+    """(rsq, theta, marks, rep_local) of a chunk's parents from its
+    replicates' uniform blocks (see _draw_palm_parent), listed in draw
+    order: for type II each replicate's interior block, then its exterior
+    block. marks is None unless type II, and rep_local is each parent's
+    replicate's index in the chunk.
+
+    Every map is elementwise and matches what the replicate's own draws
+    would give: uniform(lo, hi, n) is lo + (hi - lo)*random(n), so the
+    exterior's squared radii are delta^2 + (R^2 - delta^2)*u, its angles
+    2*pi*u (0 + 2*pi*u) and its marks u (0 + 1*u); the interior's squared
+    radii are delta^2*u and its marks m + (1 - m)*u.
+    """
+    delta = params.delta
+    r_outer = _parent_radius(params, cfg)
+    is_type2 = params.kind is ProcessKind.MATERN_II
+    width = 3 if is_type2 else 2
+    counts = np.fromiter(map(len, blocks), np.intp, len(blocks)) // width
+    starts = np.cumsum(counts) - counts
+    # the k-th parent of a block of n parents, the block starting at parent
+    # s, has its squared radius at width*s + k of the concatenated blocks,
+    # its angle n further on and its mark 2n further on
+    u = np.concatenate(blocks)
+    per_parent = np.repeat(counts, counts)
+    at = np.repeat((width - 1) * starts, counts)
+    at += np.arange(at.size)
+    u_rsq = np.take(u, at)
+    lo = delta * delta
+    rsq = lo + (r_outer * r_outer - lo) * u_rsq
+    theta = _TWO_PI * np.take(u, at + per_parent)
+    segments = np.arange(len(blocks))
     if not is_type2:
-        return rsq, theta, None, None
-    marks = rng.uniform(0.0, 1.0, n)
-    return (np.concatenate((rsq_in, rsq)), np.concatenate((theta_in, theta)),
-            np.concatenate((marks_in, marks)), origin_mark)
+        return rsq, theta, None, np.repeat(segments, counts)
+    marks = np.take(u, at + 2 * per_parent)
+    inside = np.repeat(segments % 2 == 0, counts)
+    rsq[inside] = lo * u_rsq[inside]
+    origin = np.repeat(np.asarray(origin_marks), counts[0::2])
+    marks[inside] = origin + (1.0 - origin) * marks[inside]
+    return rsq, theta, marks, np.repeat(segments // 2, counts)
 
 
 def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
@@ -390,37 +574,33 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     every parent drawn, its distance from the origin, True where it is
     retained and in the window, its replicate's index in the chunk, its
     mark (marks is None unless type II), and each replicate's generator,
-    past its parent draws."""
+    past its parent draws. Each replicate only draws its uniforms; the
+    geometry is formed once per chunk (_palm_parents)."""
     delta, r_window = params.delta, cfg.window_radius
     is_type2 = params.kind is ProcessKind.MATERN_II
     rngs = []
-    rsq_list = []
-    theta_list = []
-    marks_list = []
-    origin_marks = np.empty(chunk)
-    counts = np.empty(chunk, dtype=np.intp)
+    blocks = []
+    origin_marks = [] if is_type2 else None
     for j in range(chunk):
         rng = replicate_rng(cfg.seed, chunk_start + j)
-        rsq, theta, marks, origin_mark = _draw_palm_parent(params, cfg, rng)
+        interior, exterior, origin_mark = _draw_palm_parent(params, cfg, rng)
         rngs.append(rng)
-        rsq_list.append(rsq)
-        theta_list.append(theta)
-        marks_list.append(marks)
-        origin_marks[j] = math.nan if origin_mark is None else origin_mark
-        counts[j] = len(rsq)
+        if is_type2:
+            blocks.append(interior)
+            origin_marks.append(origin_mark)
+        blocks.append(exterior)
 
-    # elementwise, so one call for the chunk gives the per-replicate bits
-    points = _polar_points(np.concatenate(rsq_list), np.concatenate(theta_list))
-    rep_local = np.repeat(np.arange(chunk), counts)
+    rsq, theta, marks, rep_local = _palm_parents(params, cfg, blocks, origin_marks)
+    points = _polar_points(rsq, theta)
     spacing = 2.0 * (r_window + delta) + 2.0 * delta + 1.0
     shifted = points.copy()
     shifted[:, 0] += rep_local * spacing
-    competitors, marks = points, None
+    competitors = points
     if is_type2:
         # each replicate's retained origin competes with its mark
         origins = np.column_stack((np.arange(chunk) * spacing, np.zeros(chunk)))
         competitors = np.concatenate((points, np.zeros((chunk, 2))))
-        marks = np.concatenate(marks_list + [origin_marks])
+        marks = np.concatenate((marks, origin_marks))
         shifted = np.concatenate((shifted, origins))
     dead = _dead_mask(params, competitors, marks, shifted)[:len(points)]
 

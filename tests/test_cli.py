@@ -528,15 +528,17 @@ def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, tmp_path, caps
 
 def test_figure1_sparse_approximation_warns_on_stderr_only():
     # in a child, where the warning takes its default route; lambda_p*delta^2
-    # is 0.02 in the first row, where the approximation warns
+    # runs from 0.02 to 8 over the rows, and the approximation warns once
+    # for the 14 rows at or below 4
     proc = subprocess.run([sys.executable, "-m", "matern_interference.cli",
-                           "figure1", "--steps", "3"],
+                           "figure1", "--steps", "20"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "EIR approximation is inaccurate" not in proc.stdout
-    assert "EIR approximation is inaccurate" in proc.stderr
+    assert proc.stderr.count("EIR approximation is inaccurate") == 1
+    assert "(got 0.02 to 3.92 in 14 of 20 rows)" in proc.stderr
     rows, _ = csv_rows(proc.stdout)
-    assert len(rows) == 3
+    assert len(rows) == 20
 
 
 def test_figure1_exits_2_where_a_curve_leaves_the_float_range(capsys):
@@ -727,6 +729,17 @@ _FLOAT_RANGE_PROBES = {
     "interference-matern1-1-0-r0-1e-100-a6": (2, [
         "interference", "--process", "matern1", "--lambda-p", "1", "--delta", "0",
         *_A6, "--r0", "1e-100", "--method", "quadrature"]),
+    # lambda_p*b*delta underflows to 0
+    "bounds-1e-300-1e-30": (2, ["bounds", "--lambda-p", "1e-300", "--delta", "1e-30",
+                                *_A3]),
+    "figure1-1e-300-1e-30": (2, ["figure1", "--lambda-p", "1e-300", "--delta-min",
+                                 "1e-30", "--delta-max", "1e-30", "--steps", "1",
+                                 *_A3]),
+}
+# what a probe's error names
+_FLOAT_RANGE_REASONS = {
+    "bounds-1e-300-1e-30": ("lambda_p*b*delta = ", "float range"),
+    "figure1-1e-300-1e-30": ("lambda_p*b*delta = ", "float range"),
 }
 
 _LIMIT_ADDRESS_SPACE = (
@@ -748,6 +761,8 @@ def test_float_range_probe_exits_cleanly(case):
     if code == 2:
         assert proc.stdout == ""
         assert "error: " in proc.stderr
+        for reason in _FLOAT_RANGE_REASONS.get(case, ()):
+            assert reason in proc.stderr, proc.stderr
         return
     rows, _ = csv_rows(proc.stdout)
     assert rows

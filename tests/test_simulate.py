@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matern_interference import simulate
 from matern_interference.errors import ValidationError
@@ -142,6 +143,35 @@ def test_replicate_rng_streams_are_deterministic_and_distinct():
     c = replicate_rng(5, 4).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# one-word and two-word values of SeedSequence's 32-bit entropy words, with
+# the ends of each range
+_UINT64_WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                          st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]))
+
+
+@given(seed=_UINT64_WORDS, replicate=_UINT64_WORDS)
+@settings(max_examples=500)
+def test_replicate_rng_is_the_seed_sequence_stream(seed, replicate):
+    # the seed words are computed without SeedSequence; the generator must
+    # be NumPy's, state for state
+    want = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(replicate,)))
+    rng = replicate_rng(seed, replicate)
+    assert rng.bit_generator.state == want.state
+    assert rng.random() == np.random.Generator(want).random()
+
+
+def test_replicate_rng_leaves_other_values_to_seed_sequence():
+    with pytest.raises(ValueError, match="non-negative"):
+        replicate_rng(-1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        replicate_rng(0, -1)
+    # past 2**64, and NumPy integers, take SeedSequence's own path
+    for seed, replicate in [(2**64, 3), (np.uint64(5), 3), (5, np.int64(3))]:
+        want = np.random.PCG64(np.random.SeedSequence(entropy=seed,
+                                                      spawn_key=(replicate,)))
+        assert replicate_rng(seed, replicate).bit_generator.state == want.state
 
 
 def test_sample_parent_basic_properties():
@@ -328,16 +358,25 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
                        [-4.0, 2.0], [-4.0 + 0.6 - 1e-14, 2.8]])      # B
     rsq = np.einsum("ij,ij->i", points, points)
     theta = np.arctan2(points[:, 1], points[:, 0])
-    marks = (np.array([0.2, 0.3, 0.4, 0.5])
-             if kind is ProcessKind.MATERN_II else None)
-    origin_mark = 0.1 if kind is ProcessKind.MATERN_II else None
+    # the uniforms that _palm_parents maps to these squared radii and
+    # angles, between delta = 1 and the parent radius 8
+    block = [(rsq - 1.0) / 63.0, theta / (2.0 * math.pi)]
+    interior = origin_mark = None
+    if kind is ProcessKind.MATERN_II:
+        block.append(np.array([0.2, 0.3, 0.4, 0.5]))
+        interior, origin_mark = np.empty(0), 0.1
+    exterior = np.concatenate(block)
 
     def fixed_parents(params, cfg, rng):
-        return rsq.copy(), theta.copy(), marks, origin_mark
+        return interior, exterior, origin_mark
 
     monkeypatch.setattr(simulate, "_draw_palm_parent", fixed_parents)
     params = HardCoreParams(1.0, 1.0, kind)
     cfg = SimulationConfig(window_radius=7.0, replicates=600, seed=0)
+    # the parents as drawn are still both pairs just inside delta
+    drawn = simulate._thin_chunk(params, cfg, 0, 1)[0]
+    gaps = np.hypot(*(drawn[0::2] - drawn[1::2]).T)
+    assert np.all((gaps < 1.0) & (gaps > 1.0 - 1e-12)), gaps
     # chunks of 128 replicates, whatever the parent budget: chunks of 20 or
     # fewer translate too little for either fault to show
     expected = math.pi * (7.0 + 1.0) ** 2
@@ -424,8 +463,10 @@ def test_type2_palm_origin_mark_and_interior_follow_the_palm_law():
     origin_marks = np.empty(cfg.replicates)
     interior = np.empty(cfg.replicates)
     for k in range(cfg.replicates):
-        rsq, _, marks, origin_marks[k] = simulate._draw_palm_parent(
+        ball, beyond, origin_marks[k] = simulate._draw_palm_parent(
             params, cfg, replicate_rng(cfg.seed, k))
+        rsq, _, marks, _ = simulate._palm_parents(
+            params, cfg, [ball, beyond], [origin_marks[k]])
         inside = rsq < params.delta ** 2
         interior[k] = np.count_nonzero(inside)
         assert np.all(marks[inside] >= origin_marks[k])
