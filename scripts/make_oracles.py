@@ -158,6 +158,27 @@ def main() -> None:
     print("matern1_quadrature:",
           mp.nstr(eir_d9 * 2 * pi * d9**(2 - alpha3) / (alpha3 - 2), 17))
 
+    print("== sparse type I bounds rows, lambda_p=1e-60, delta=1, alpha=8 ==")
+    # lambda_p*b*delta is far below where e^x Gamma(2 - alpha, x) fits a float
+    lam60, alpha8 = mp.mpf("1e-60"), mp.mpf(8)
+    beyond = (2 * pi * lam60 * mp.e**(-lam60 * pi) * 2**(2 - alpha8)
+              / (alpha8 - 2))
+    sparse = {}
+    for name, a, b in (("lower", a_tan, b_tan), ("upper", a_cho, b_cho)):
+        h = 2 * pi * lam60 * mp.e**(-lam60 * a) * mp.quad(
+            lambda r: r**(1 - alpha8) * mp.e**(-lam60 * b * r), [1, 2])
+        e = (h / beyond + 1) / 2**(alpha8 - 2)
+        sparse[f"transition_interference_{name}"] = h
+        sparse[f"eir_{name}_linear"] = e
+        sparse[f"eir_{name}_db"] = 10 * mp.log10(e)
+    sparse["interference_beyond_2delta"] = beyond
+    appr = ((alpha8 - 2) * 2**(alpha8 - 2) * mp.e**(lam60 * (pi - a_tan - b_tan))
+            / (lam60 * b_tan))
+    sparse["eir_approximation_linear"] = appr
+    sparse["eir_approximation_db"] = 10 * mp.log10(appr)
+    for name, value in sparse.items():
+        print(f"{name}:", mp.nstr(value, 17))
+
     print("== type II Palm origin mark (lambda_p=2, delta=0.5) ==")
     # density x e^(-x m) / (1 - e^(-x)) on [0, 1]; the ball then holds
     # x (1 - m) parents on average

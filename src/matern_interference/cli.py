@@ -23,7 +23,6 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -51,29 +50,12 @@ from .models import (
     intensity,
 )
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce one output file.
 
-    ``duration_s`` is filled for reporting but excluded from the serialized
-    header: a timestamp would break the byte-for-byte reproducibility that
-    the header exists to provide.
-    """
-
-    command: str
-    params: dict
-    seed: Optional[int]
-    version: str
-    duration_s: Optional[float] = None
-
-    def header_line(self) -> str:
-        payload = {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "version": self.version,
-        }
-        return "# " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _manifest_line(command: str, params: dict) -> str:
+    """The header that reproduces an output file, byte for byte: no time."""
+    payload = {"command": command, "params": params,
+               "seed": params.get("seed"), "version": __version__}
+    return "# " + json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _fmt_cell(value) -> str:
@@ -84,9 +66,9 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _render(manifest: RunManifest, rows: list[dict], fieldnames: list[str],
+def _render(manifest: str, rows: list[dict], fieldnames: list[str],
             fmt: str) -> str:
-    out = [manifest.header_line()]
+    out = [manifest]
     if fmt == "csv":
         out.append(",".join(fieldnames))
         for row in rows:
@@ -365,13 +347,8 @@ _RUNNERS = {
 def _execute(command: str, params: dict, fmt: str, out_path: Optional[str]) -> None:
     t0 = time.perf_counter()
     rows, fieldnames = _RUNNERS[command](params)
-    manifest = RunManifest(command=command, params=params,
-                           seed=params.get("seed"), version=__version__,
-                           duration_s=None)
-    text = _render(manifest, rows, fieldnames, fmt)
-    _write(text, out_path)
-    manifest.duration_s = time.perf_counter() - t0
-    print(f"{command}: {len(rows)} row(s) in {manifest.duration_s:.3f} s",
+    _write(_render(_manifest_line(command, params), rows, fieldnames, fmt), out_path)
+    print(f"{command}: {len(rows)} row(s) in {time.perf_counter() - t0:.3f} s",
           file=sys.stderr)
 
 

@@ -22,8 +22,8 @@ beyond delta, so its decibels are finite at every density that
 ``HardCoreParams`` accepts. The ratios of
 the affine bounds to the tail are likewise formed without lambda
 (``h_bound_over_tail``), but they leave the float range past
-lambda_p*delta^2 of about 600, where a validation error is raised, as it
-is where a power of delta or of lambda_p*b*delta in a closed form does.
+lambda_p*delta^2 of about 600, where a validation error is raised. For a
+power law all are taken at delta = 1 (``_at_unit_delta``), from lambda_p*delta^2.
 """
 
 from __future__ import annotations
@@ -106,15 +106,61 @@ class EirReport:
                 raise ValidationError("eir_db does not match eir_linear")
 
 
-def _check_power_law_cutoff(params: HardCoreParams, pathloss: PathLossModel) -> None:
-    # The closed forms on [delta, 2*delta] need a pure power law there, so
-    # the inner cutoff must not reach past delta. When delta = 0 all three
-    # processes coincide and any cutoff is acceptable.
-    if isinstance(pathloss, PowerLawPathLoss):
-        if params.delta > 0 and pathloss.r0 > params.delta:
-            raise ValidationError(
-                f"path loss inner cutoff r0={pathloss.r0} exceeds the "
-                f"hard-core distance delta={params.delta}")
+def _at_unit_delta(params: HardCoreParams,
+                   pathloss: PathLossModel) -> tuple[HardCoreParams, PathLossModel]:
+    """For a power law at delta > 0, the same kind at delta = 1, parent
+    intensity c = lambda_p*delta*delta (at least the smallest normal float,
+    where the kernel is Poisson to rounding) and cutoff r0/delta <= 1; a
+    table, with its own length scale, or delta = 0 comes back as is."""
+    delta = params.delta
+    if not isinstance(pathloss, PowerLawPathLoss) or delta == 0.0:
+        return params, pathloss
+    if pathloss.r0 > delta:
+        raise ValidationError(
+            f"path loss inner cutoff r0={pathloss.r0} exceeds the "
+            f"hard-core distance delta={delta}")
+    c = max(params.lambda_p * delta * delta, sys.float_info.min)
+    return (HardCoreParams(c, 1.0, params.kind), pathloss if pathloss.r0 == 0.0
+            else PowerLawPathLoss(pathloss.alpha, pathloss.r0 / delta))
+
+
+def _mean(params: HardCoreParams, pathloss: PathLossModel, value: float,
+          factors: tuple[float, ...], exponents: tuple[float, ...]) -> float:
+    """e^sum(exponents) * prod(factors) * value, times delta^(2 - alpha) for a
+    power law at delta > 0: a mean from its lambda-free ``value`` (``_at_unit_delta``).
+    The plain product where each partial product is a normal float, else taken
+    in decimal: 0 below the float range, inf above it, never nan."""
+    if value == 0.0 or 0.0 in factors:
+        return 0.0
+    delta = params.delta
+    rescale = isinstance(pathloss, PowerLawPathLoss) and delta not in (0.0, 1.0)
+    terms = [math.exp(x) if x < 709 else math.inf for x in exponents] + [*factors, value]
+    if rescale:  # delta^(2 - alpha), or inf where it leaves the float range
+        p = 2.0 - pathloss.alpha
+        terms.append(delta ** p if abs(p * math.log(delta)) < 708.0 else math.inf)
+    mean = 1.0
+    for term in terms:
+        mean *= term
+        if not sys.float_info.min <= mean < math.inf:
+            break
+    else:
+        return mean
+    from decimal import Decimal, Overflow, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.traps[Overflow] = 40, False
+        log_scale = sum(map(Decimal, exponents), Decimal(0))
+        if rescale:
+            log_scale += (2 - Decimal(pathloss.alpha)) * Decimal(delta).ln()
+        return float(math.prod(map(Decimal, (*factors, value)), start=log_scale.exp()))
+
+
+def _exp(x: float) -> float:
+    """e^x, and inf where that overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _table_knots(pathloss: PathLossModel, delta: float) -> list[float]:
@@ -142,16 +188,16 @@ def _transition_integral(params: HardCoreParams,
     I~ integrates ``analytic._k_prime``'s kernel in s (see ``_in_s``), with
     knots at a table's kinks and across a dense type I boundary layer; for
     type I the kernel is scaled by its peak, and both values stay finite at
-    any accepted density. Where 2*pi*loss(delta)*delta^2 is below 1, the
-    absolute tolerance is taken in units of it, so that the relative one
-    holds for a steep loss at a large delta too.
+    any accepted density. Where 2*pi*loss(delta)*delta^2 is below 1 (a
+    table: a power law comes at delta = 1), the absolute tolerance is taken
+    in units of it, so that the relative one holds for a steep table too.
     """
     delta = params.delta
     kernel, log_peak = _k_prime(params, pathloss)
     unit = 2.0 * math.pi * float(pathloss(delta)) * delta * delta
-    if unit == 0.0 and isinstance(pathloss, TabulatedPathLoss):
+    if unit == 0.0:
         return 0.0, log_peak  # a nonincreasing table vanishes on the annulus
-    if not 0.0 < unit < math.inf:  # a power law past the float range
+    if unit == math.inf:
         raise ValidationError(
             f"2*pi*loss(delta)*delta^2 = {unit:g} leaves the float range "
             f"at delta = {delta:g}")
@@ -175,13 +221,15 @@ def _transition_integral(params: HardCoreParams,
     return result.value, log_peak
 
 
-def _annulus_mean(params: HardCoreParams, scaled: float) -> float:
+def _annulus_mean(params: HardCoreParams, pathloss: PathLossModel,
+                  scaled: float) -> float:
     """lambda * e^P * I~ (``_transition_integral``), where for type I the
     exponent of lambda * e^P, lambda_p*delta^2*(pi - C2_LENS), is < 0."""
     if params.kind is not ProcessKind.MATERN_I:
-        return intensity(params) * scaled
+        return _mean(params, pathloss, scaled, (intensity(params),), ())
     lam_p, delta = params.lambda_p, params.delta
-    return lam_p * math.exp(lam_p * delta * delta * (math.pi - C2_LENS)) * scaled
+    return _mean(params, pathloss, scaled, (lam_p,),
+                 (lam_p * delta * delta * (math.pi - C2_LENS),))
 
 
 def mean_interference_inside_2delta(params: HardCoreParams,
@@ -189,23 +237,21 @@ def mean_interference_inside_2delta(params: HardCoreParams,
     """Mean interference received from the transition annulus
     delta <= ||x|| < 2*delta, by adaptive quadrature of the exact pair
     correlation. Zero when delta = 0."""
-    _check_power_law_cutoff(params, pathloss)
     if params.delta == 0.0:
         return 0.0
-    return _annulus_mean(params, _transition_integral(params, pathloss)[0])
+    unit, unit_loss = _at_unit_delta(params, pathloss)
+    return _annulus_mean(params, pathloss, _transition_integral(unit, unit_loss)[0])
 
 
-def _times_intensity(params: HardCoreParams, value: float,
-                     scale: float = 1.0) -> float:
-    """scale * intensity(params) * value, for value, scale >= 0. A type I
-    intensity is subnormal or zero (lambda_p*pi*delta^2 > 708) long before
-    that product is, so there the product is formed in the log domain."""
-    lam = intensity(params)
-    if (params.kind is not ProcessKind.MATERN_I or lam >= sys.float_info.min
-            or value == 0.0):
-        return scale * lam * value
-    return math.exp(math.log(params.lambda_p) + math.log(scale * value)
-                    - params.lambda_p * math.pi * params.delta * params.delta)
+def _times_intensity(params: HardCoreParams, pathloss: PathLossModel,
+                     value: float, log_eir: float = 0.0) -> float:
+    """2*pi * lambda * e^log_eir * value (``_mean``), where a type I lambda
+    is lambda_p * e^-x with x = (lambda_p*delta*delta)*pi, as at delta = 1."""
+    lam_p, delta = params.lambda_p, params.delta
+    if params.kind is ProcessKind.MATERN_I:
+        return _mean(params, pathloss, value, (lam_p, 2.0 * math.pi),
+                     (-lam_p * delta * delta * math.pi, log_eir))
+    return _mean(params, pathloss, value, (intensity(params), 2.0 * math.pi), (log_eir,))
 
 
 def interference_outside_2delta(params: HardCoreParams,
@@ -213,11 +259,11 @@ def interference_outside_2delta(params: HardCoreParams,
     """Mean interference from beyond 2*delta, where every process kind has
     exactly Poisson second-order structure at its own intensity; closed form
     for the power law, exact piecewise integral for tabulated loss."""
-    _check_power_law_cutoff(params, pathloss)
     if params.delta <= 0:
         raise ValidationError("interference_outside_2delta requires delta > 0")
+    unit, unit_loss = _at_unit_delta(params, pathloss)
     return _times_intensity(
-        params, pathloss.radial_integral(2.0 * params.delta, math.inf), 2.0 * math.pi)
+        params, pathloss, unit_loss.radial_integral(2.0 * unit.delta, math.inf))
 
 
 def mean_interference_quadrature(params: HardCoreParams,
@@ -229,7 +275,6 @@ def mean_interference_quadrature(params: HardCoreParams,
     and the value is the closed-form integral from the origin, which exists
     only when the path loss is bounded (r0 > 0 or tabulated).
     """
-    _check_power_law_cutoff(params, pathloss)
     if params.delta == 0.0:
         return 2.0 * math.pi * params.lambda_p * pathloss.radial_integral(0.0, math.inf)
     inner = mean_interference_inside_2delta(params, pathloss)
@@ -242,9 +287,9 @@ def mean_interference_poisson_hole(params: HardCoreParams,
     intensity matches the (thinned) process, observed outside a hole of
     radius delta. Closed form 2*pi*lambda*delta^(2-alpha)/(alpha-2) for a
     power law with cutoff below delta."""
-    _check_power_law_cutoff(params, pathloss)
-    return _times_intensity(
-        params, pathloss.radial_integral(params.delta, math.inf), 2.0 * math.pi)
+    unit, unit_loss = _at_unit_delta(params, pathloss)
+    return _times_intensity(params, pathloss,
+                            unit_loss.radial_integral(unit.delta, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +300,8 @@ def mean_interference_poisson_hole(params: HardCoreParams,
 def _h_integral_parts(v: float, x: float, alpha: float) -> tuple[float, float, float]:
     """h_integral(v, x, alpha) as the product of v^(alpha-2), exp(-v*x) and
     a difference of scaled incomplete gammas, each of which stays in range
-    when the product does not."""
+    when the product does not; below v*x = 2^-54, where the gammas overflow
+    alone, at the v -> 0 limit, x^(2-alpha)*(1 - 2^(2-alpha))/(alpha - 2)."""
     if not (v > 0 and math.isfinite(v)):
         raise ValidationError(f"v must be > 0, got {v}")
     if not (x > 0 and math.isfinite(x)):
@@ -263,9 +309,12 @@ def _h_integral_parts(v: float, x: float, alpha: float) -> tuple[float, float, f
     if not (alpha > 2 and math.isfinite(alpha)):
         raise ValidationError(f"alpha must be > 2, got {alpha}")
     s = 2.0 - alpha
+    decay = math.exp(-v * x)
+    if v * x < 2.0**-54:  # within v*x of the value
+        return 1.0, decay, (_power(x, s, "x^(2 - alpha)")
+                            * -math.expm1(s * math.log(2.0)) / (alpha - 2.0))
     g1 = upper_incomplete_gamma(s, v * x, scaled=True)
     g2 = upper_incomplete_gamma(s, 2.0 * v * x, scaled=True)
-    decay = math.exp(-v * x)
     return _power(v, alpha - 2.0, "v^(alpha - 2)"), decay, g1 - decay * g2
 
 
@@ -281,18 +330,6 @@ def h_integral(v: float, x: float, alpha: float) -> float:
     return power * decay * gammas
 
 
-def _affine_rate(params: HardCoreParams, bound: AffineVBound) -> float:
-    """lambda_p*b*delta, the rate of the closed forms' exp(-v*r); a
-    validation error where the product leaves the float range, as it
-    underflows to 0 for a sparse process with a tiny delta."""
-    rate = params.lambda_p * bound.b * params.delta
-    if not (rate > 0 and math.isfinite(rate)):
-        raise ValidationError(
-            f"lambda_p*b*delta = {params.lambda_p:g}*{bound.b:g}*{params.delta:g} "
-            "of the affine bound leaves the float range")
-    return rate
-
-
 def h_bound(params: HardCoreParams, pathloss: PathLossModel,
             bound: AffineVBound) -> float:
     """Transition-annulus interference with the union area replaced by an
@@ -302,21 +339,20 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
     LOWER interference bound; the lower (chord) line gives an UPPER bound.
     Closed form via h_integral for power-law loss, quadrature otherwise.
     """
-    _check_power_law_cutoff(params, pathloss)
     if params.delta <= 0:
         raise ValidationError("h_bound requires delta > 0")
-    lam_p, delta = params.lambda_p, params.delta
-    prefactor = 2.0 * math.pi * lam_p * math.exp(-lam_p * bound.a * delta * delta)
-    if isinstance(pathloss, PowerLawPathLoss):
-        return prefactor * h_integral(_affine_rate(params, bound), delta, pathloss.alpha)
-    rate = lam_p * bound.b * delta
-
-    def integrand(r: float) -> float:
-        return float(pathloss(r)) * r * math.exp(-rate * r)
-
-    result = integrate(integrand, delta, 2.0 * delta, _table_knots(pathloss, delta))
-    result.require("affine-bound interference integral")
-    return prefactor * result.value
+    unit, unit_loss = _at_unit_delta(params, pathloss)
+    lam_p, delta = unit.lambda_p, unit.delta
+    rate = lam_p * bound.b * delta  # of the closed forms' exp(-rate*r)
+    if isinstance(unit_loss, PowerLawPathLoss):
+        value = h_integral(rate, delta, unit_loss.alpha)
+    else:
+        result = integrate(lambda r: float(unit_loss(r)) * r * math.exp(-rate * r),
+                           delta, 2.0 * delta, _table_knots(unit_loss, delta))
+        result.require("affine-bound interference integral")
+        value = result.value
+    return _mean(params, pathloss, value, (2.0 * math.pi, params.lambda_p),
+                 (-lam_p * bound.a * delta * delta,))
 
 
 def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
@@ -326,12 +362,11 @@ def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
 
     Both means carry lambda_p * exp(-lambda_p * delta^2 * c), so the ratio
     is exp(lambda_p*delta^2*(pi - a - b)) times the scaled closed form of
-    h_integral over the tail integral from 2*delta. Where lambda underflows
-    the quotient of the two means is 0/0, but this ratio stays finite until
-    it leaves the float range itself, where a validation error is raised.
-    The affine-bound EIR is (this + 1) / 2^(alpha - 2).
+    h_integral over the tail integral from 2*delta, at delta = 1. Where
+    lambda underflows the quotient of the two means is 0/0, but this ratio
+    stays finite until it leaves the float range itself, where a validation
+    error is raised. The affine-bound EIR is (this + 1) / 2^(alpha - 2).
     """
-    _check_power_law_cutoff(params, pathloss)
     if params.kind is not ProcessKind.MATERN_I:
         raise ValidationError("the affine bounds apply to the type I process only")
     if not isinstance(pathloss, PowerLawPathLoss):
@@ -339,15 +374,13 @@ def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
             "the lambda-free affine-bound ratio requires power-law path loss")
     if params.delta <= 0:
         raise ValidationError("h_bound_over_tail requires delta > 0")
-    lam_p, delta = params.lambda_p, params.delta
-    power, _, gammas = _h_integral_parts(_affine_rate(params, bound), delta,
-                                         pathloss.alpha)
+    unit, unit_loss = _at_unit_delta(params, pathloss)
+    lam_p, delta = unit.lambda_p, unit.delta
+    power, _, gammas = _h_integral_parts(lam_p * bound.b * delta, delta,
+                                         unit_loss.alpha)
     exponent = lam_p * delta * delta * (math.pi - bound.a - bound.b)
-    try:
-        ratio = (math.exp(exponent) * power * gammas
-                 / pathloss.radial_integral(2.0 * delta, math.inf))
-    except OverflowError:
-        ratio = math.inf
+    ratio = (_exp(exponent) * power * gammas
+             / unit_loss.radial_integral(2.0 * delta, math.inf))
     if math.isinf(ratio):
         raise ValidationError(
             "the ratio of the affine-bound interference to the tail overflows "
@@ -364,12 +397,8 @@ def _report(mean_hardcore: float, mean_poisson: float, method: EirMethod,
             log_eir: float) -> EirReport:
     """The report of an EIR given by its natural log; ``eir_linear`` is inf
     once the ratio overflows, while ``eir_db`` stays finite."""
-    try:
-        eir_linear = math.exp(log_eir)
-    except OverflowError:
-        eir_linear = math.inf
     return EirReport(mean_hardcore=mean_hardcore, mean_poisson_hole=mean_poisson,
-                     eir_linear=eir_linear, eir_db=_LOG10_E10 * log_eir, method=method)
+                     eir_linear=_exp(log_eir), eir_db=_LOG10_E10 * log_eir, method=method)
 
 
 def eir(params: HardCoreParams, pathloss: PathLossModel,
@@ -381,10 +410,9 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     tolerance; the ratio is exactly 1 for the Poisson reference and at
     delta = 0), with a finite ``eir_db`` at every accepted density:
     ``eir_linear`` is inf once the ratio overflows (type I,
-    lambda_p*delta^2 above about 580), and the means underflow to 0 before
-    that. A path loss that vanishes beyond delta, or a power law whose
-    2*pi*loss(delta)*delta^2 leaves the float range, is a validation
-    error. UPPER_BOUND is the type II
+    lambda_p*delta^2 above about 580), computed at delta = 1 for a power
+    law, while the means may be 0 or inf. A table that vanishes beyond
+    delta is a validation error. UPPER_BOUND is the type II
     closed-form cap; APPROXIMATION is the paper's type I closed form, which
     is close to quadrature only near lambda_p*delta^2 = 9 (see
     eir_type1_approximation).
@@ -407,12 +435,14 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
         if not isinstance(pathloss, PowerLawPathLoss):
             raise UnsupportedMethodError(
                 "the EIR approximation requires power-law path loss")
-        _check_power_law_cutoff(params, pathloss)
+        _at_unit_delta(params, pathloss)  # for its check of the cutoff
         return eir_type1_approximation(params, pathloss.alpha)
     if method is not EirMethod.QUADRATURE:
         raise UnsupportedMethodError(f"unknown EIR method {method!r}")
 
-    mean_poisson = mean_interference_poisson_hole(params, pathloss)
+    unit, unit_loss = _at_unit_delta(params, pathloss)
+    hole = unit_loss.radial_integral(unit.delta, math.inf)
+    mean_poisson = _times_intensity(params, pathloss, hole)
     if kind is ProcessKind.POISSON_HOLE:
         return _report(mean_poisson, mean_poisson, method, 0.0)
     if params.delta == 0.0:
@@ -420,22 +450,19 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
         return _report(mean_hardcore, mean_poisson, method, 0.0)
     # both means carry the factor lambda, so the ratio is formed from
     # lambda-free integrals, with the type I peak e^P as a logarithm
-    scaled, log_peak = _transition_integral(params, pathloss)
+    scaled, log_peak = _transition_integral(unit, unit_loss)
     two_pi = 2.0 * math.pi
-    radial = pathloss.radial_integral(2.0 * params.delta, math.inf)
-    outer = two_pi * radial
-    total = scaled + math.exp(-log_peak) * outer  # (I + outer) * e^-P
-    reference = two_pi * pathloss.radial_integral(params.delta, math.inf)
-    if total == 0.0 or reference == 0.0:
-        where = (f"its table ends at r = {pathloss.support_end}"
-                 if isinstance(pathloss, TabulatedPathLoss) else "it underflows")
-        raise ValidationError(f"the path loss is zero beyond delta = {params.delta} "
-                              f"({where}): the EIR compares two zero means")
+    radial = unit_loss.radial_integral(2.0 * unit.delta, math.inf)
+    total = scaled + math.exp(-log_peak) * (two_pi * radial)  # (I + outer) * e^-P
+    reference = two_pi * hole
+    if total == 0.0 or reference == 0.0:  # a table, as a power law is > 0
+        raise ValidationError(
+            f"the path loss is zero beyond delta = {params.delta} (its table "
+            f"ends at r = {pathloss.support_end}): the EIR compares two zero means")
     log_eir = log_peak + math.log(total) - math.log(reference)
-    # the tail term in the operation order of interference_outside_2delta,
-    # so that mean_hardcore is mean_interference_quadrature's value
-    mean_hardcore = (_annulus_mean(params, scaled)
-                     + _times_intensity(params, radial, two_pi))
+    # mean_interference_quadrature's value, bit for bit
+    mean_hardcore = (_annulus_mean(params, pathloss, scaled)
+                     + _times_intensity(params, pathloss, radial))
     return _report(mean_hardcore, mean_poisson, method, log_eir)
 
 
@@ -464,34 +491,30 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     minus quadrature is +2.35 dB at lambda_p*delta^2 = 5, +0.69 dB at 8,
     -13.47 dB at 36 and -92.5 dB at 196; it is within 1 dB only on about
     [7.5, 11]. Warns for lambda_p*delta^2 <= 4, where it is worse still.
-    A lambda_p*delta^2 below the normal float range, or a delta^(2 - alpha)
-    past it, is a validation error.
+    A lambda_p*b*delta^2 below the normal float range is a validation error.
     """
     if params.kind is not ProcessKind.MATERN_I:
         raise UnsupportedMethodError(
             "the closed-form EIR approximation exists for the type I "
             "process only")
-    if not (alpha > 2 and math.isfinite(alpha)):
-        raise ValidationError(f"alpha must be > 2, got {alpha}")
-    lam_p, delta = params.lambda_p, params.delta
-    if delta <= 0:
+    pathloss = PowerLawPathLoss(alpha)
+    if params.delta <= 0:
         raise ValidationError("the EIR approximation requires delta > 0")
-    tangent_term = lam_p * _TANGENT.b * delta * delta
+    density = params.lambda_p * params.delta * params.delta  # c, unclamped
+    tangent_term = density * _TANGENT.b
     if tangent_term < sys.float_info.min:
         raise ValidationError(
             f"lambda_p*b*delta^2 = {tangent_term:g} of the EIR approximation "
             f"leaves the normal float range")
-    if lam_p * delta * delta <= _SPARSE_APPROXIMATION:
-        _warn_sparse_approximation(f"{lam_p * delta * delta:g}", stacklevel=3)
+    if density <= _SPARSE_APPROXIMATION:
+        _warn_sparse_approximation(f"{density:g}", stacklevel=3)
     log_eir = (math.log(alpha - 2.0)
                + (alpha - 2.0) * math.log(2.0)
-               + lam_p * delta * delta * TYPE1_GROWTH_EXPONENT
+               + density * TYPE1_GROWTH_EXPONENT
                - math.log(tangent_term))
-    mean_poisson = (2.0 * math.pi * intensity(params)
-                    * _power(delta, 2.0 - alpha, "delta^(2 - alpha)") / (alpha - 2.0))
-    # the product is formed in the log domain: the ratio overflows long
-    # before the hard-core mean does, which underflows with the reference
-    mean_hardcore = math.exp(log_eir + math.log(mean_poisson)) if mean_poisson > 0.0 else 0.0
+    hole = 1.0 / (alpha - 2.0)  # the radial integral from delta = 1
+    mean_poisson = _times_intensity(params, pathloss, hole)
+    mean_hardcore = _times_intensity(params, pathloss, hole, log_eir)
     return _report(mean_hardcore, mean_poisson, EirMethod.APPROXIMATION, log_eir)
 
 

@@ -699,8 +699,8 @@ _FLOAT_RANGE_PROBES = {
     "interference-matern1-1e-200-1e-200": (2, [
         "interference", "--process", "matern1", "--lambda-p", "1e-200",
         "--delta", "1e-200", *_A3, "--method", "quadrature"]),
-    # the path loss underflows at delta, but not beyond it
-    "eir-matern1-1e-200-1e100-a4": (2, ["eir", "--process", "matern1", "--lambda-p",
+    # the path loss underflows at delta, but lambda_p*delta^2 = 1
+    "eir-matern1-1e-200-1e100-a4": (0, ["eir", "--process", "matern1", "--lambda-p",
                                         "1e-200", "--delta", "1e100", "--alpha", "4"]),
     # (lambda/lambda_p)^2 underflows and lambda_p^2*pi*delta^2 overflows
     "eir-matern2-1e170-1": (0, ["eir", "--process", "matern2", "--lambda-p",
@@ -709,17 +709,21 @@ _FLOAT_RANGE_PROBES = {
                                 "1e300", "--delta", "1", *_A3]),
     "kfun-matern2-1e170-1": (0, ["kfun", "--process", "matern2", "--lambda-p",
                                  "1e170", "--delta", "1"]),
-    # a power of delta overflows: delta^(2 - alpha), or (lambda_p*b*delta)^(alpha - 2)
-    "eir-matern1-1e199-1e-100-a6": (2, ["eir", "--process", "matern1", "--lambda-p",
+    # delta^(2 - alpha) = 1e400 overflows, and with it the means, but not
+    # the ratios at lambda_p*delta^2 = 0.1
+    "eir-matern1-1e199-1e-100-a6": (0, ["eir", "--process", "matern1", "--lambda-p",
                                         "1e199", "--delta", "1e-100", *_A6]),
-    "eir-matern1-1e199-1e-100-a6-approximation": (2, [
+    "eir-matern1-1e199-1e-100-a6-approximation": (0, [
         "eir", "--process", "matern1", "--lambda-p", "1e199", "--delta", "1e-100",
         *_A6, "--method", "approximation"]),
-    "eir-matern2-1e199-1e-100-a6-upper-bound": (2, [
+    "eir-matern2-1e199-1e-100-a6": (0, ["eir", "--process", "matern2", "--lambda-p",
+                                        "1e199", "--delta", "1e-100", *_A6]),
+    "eir-matern2-1e199-1e-100-a6-upper-bound": (0, [
         "eir", "--process", "matern2", "--lambda-p", "1e199", "--delta", "1e-100",
         *_A6, "--method", "upper-bound"]),
-    "bounds-1e199-1e-100-a6": (2, ["bounds", "--lambda-p", "1e199", "--delta",
+    "bounds-1e199-1e-100-a6": (0, ["bounds", "--lambda-p", "1e199", "--delta",
                                    "1e-100", *_A6]),
+    # (lambda_p*b*delta)^(alpha - 2) overflows
     "bounds-1e30-1e30-a8": (2, ["bounds", "--lambda-p", "1e30", "--delta", "1e30",
                                 "--alpha", "8"]),
     "figure1-1e199-1e-100-a6": (2, ["figure1", "--lambda-p", "1e199", "--delta-min",
@@ -729,17 +733,39 @@ _FLOAT_RANGE_PROBES = {
     "interference-matern1-1-0-r0-1e-100-a6": (2, [
         "interference", "--process", "matern1", "--lambda-p", "1", "--delta", "0",
         *_A6, "--r0", "1e-100", "--method", "quadrature"]),
-    # lambda_p*b*delta underflows to 0
+    # lambda_p*delta^2 underflows: the approximation's lambda_p*b*delta^2
     "bounds-1e-300-1e-30": (2, ["bounds", "--lambda-p", "1e-300", "--delta", "1e-30",
                                 *_A3]),
     "figure1-1e-300-1e-30": (2, ["figure1", "--lambda-p", "1e-300", "--delta-min",
                                  "1e-30", "--delta-max", "1e-30", "--steps", "1",
                                  *_A3]),
+    # and the EIR is 1 to rounding, while the means keep lambda
+    "eir-matern1-1e-300-1e-30": (0, ["eir", "--process", "matern1", "--lambda-p",
+                                     "1e-300", "--delta", "1e-30", *_A3]),
+    # one lambda_p*delta^2, 1e30 or 1e100, split between lambda_p and delta
+    **{f"eir-matern1-{lam_p}-{delta}": (0, ["eir", "--process", "matern1", "--lambda-p",
+                                            lam_p, "--delta", delta, *_A3])
+       for lam_p, delta in (("1e30", "1"), ("1e-30", "1e30"), ("1", "1e15"),
+                            ("1e-50", "1e50"), ("1e100", "1"), ("1e-100", "1e100"))},
+    # the sparse affine bounds, where e^x Gamma(2 - alpha, x) overflows alone
+    "bounds-1e-60-1-a8": (0, ["bounds", "--lambda-p", "1e-60", "--delta", "1",
+                              "--alpha", "8"]),
+    "figure1-1e-60-1-a8": (0, ["figure1", "--lambda-p", "1e-60", "--delta-min", "1",
+                               "--delta-max", "1", "--steps", "1", "--alpha", "8"]),
 }
 # what a probe's error names
 _FLOAT_RANGE_REASONS = {
-    "bounds-1e-300-1e-30": ("lambda_p*b*delta = ", "float range"),
-    "figure1-1e-300-1e-30": ("lambda_p*b*delta = ", "float range"),
+    "bounds-1e-300-1e-30": ("lambda_p*b*delta^2 = ", "normal float range"),
+    "figure1-1e-300-1e-30": ("lambda_p*b*delta^2 = ", "normal float range"),
+}
+# exit-0 probes whose means may be 0 or inf: for a power law each prints the
+# decibels of its lambda_p*delta^2 at delta = 1, bit for bit
+_FLOAT_RANGE_AT_UNIT_DELTA = {
+    "eir-matern1-1e-200-1e100-a4", "eir-matern1-1e199-1e-100-a6",
+    "eir-matern1-1e199-1e-100-a6-approximation", "eir-matern2-1e199-1e-100-a6",
+    "eir-matern2-1e199-1e-100-a6-upper-bound", "bounds-1e199-1e-100-a6",
+    "eir-matern1-1e30-1", "eir-matern1-1e-30-1e30", "eir-matern1-1-1e15",
+    "eir-matern1-1e-50-1e50", "eir-matern1-1e100-1", "eir-matern1-1e-100-1e100",
 }
 
 _LIMIT_ADDRESS_SPACE = (
@@ -751,8 +777,24 @@ _LIMIT_ADDRESS_SPACE = (
 _LIMITED_CHILD = _LIMIT_ADDRESS_SPACE + "sys.exit(main(json.loads(sys.argv[1])))\n"
 
 
+def _at_unit_delta(argv):
+    """argv with --lambda-p fl(lambda_p*delta*delta) and --delta 1."""
+    argv = list(argv)
+    lam_p, delta = argv.index("--lambda-p") + 1, argv.index("--delta") + 1
+    c = float(argv[lam_p]) * float(argv[delta]) * float(argv[delta])
+    argv[lam_p], argv[delta] = repr(c), "1"
+    return argv
+
+
+def _decibels(rows):
+    """The eir_db column of `eir`, or the *_db rows of `bounds`."""
+    if "quantity" in rows[0]:
+        return {r["quantity"]: r["value"] for r in rows if r["quantity"].endswith("_db")}
+    return [r["eir_db"] for r in rows]
+
+
 @pytest.mark.parametrize("case", list(_FLOAT_RANGE_PROBES))
-def test_float_range_probe_exits_cleanly(case):
+def test_float_range_probe_exits_cleanly(case, capsys):
     code, argv = _FLOAT_RANGE_PROBES[case]
     proc = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, json.dumps(argv)],
                           capture_output=True, text=True, timeout=60)
@@ -766,9 +808,50 @@ def test_float_range_probe_exits_cleanly(case):
         return
     rows, _ = csv_rows(proc.stdout)
     assert rows
-    for row in rows:
-        numbers = [v for k, v in row.items() if k not in ("process", "method")]
-        assert all(math.isfinite(float(v)) for v in numbers), row
+    numbers = [float(v) for row in rows for k, v in row.items()
+               if k not in ("process", "method", "quantity")]
+    if case not in _FLOAT_RANGE_AT_UNIT_DELTA:
+        assert all(math.isfinite(v) for v in numbers), rows
+        return
+    assert not any(math.isnan(v) for v in numbers), rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        unit_code, unit_out, _ = run_cli(capsys, *_at_unit_delta(argv))
+    assert unit_code == 0
+    assert _decibels(rows) == _decibels(csv_rows(unit_out)[0])
+
+
+# mpmath (scripts/make_oracles.py): the `bounds` rows at lambda_p = 1e-60,
+# delta = 1, alpha = 8, where e^x Gamma(-6, x) overflows alone at x ~ 1e-60
+BOUNDS_SPARSE_1E60_A8 = {
+    "transition_interference_lower": 1.0308350894591509e-60,
+    "transition_interference_upper": 1.0308350894591509e-60,
+    "interference_beyond_2delta": 1.636246173744684e-62,
+    "eir_lower_linear": 1.0, "eir_lower_db": 0.0,
+    "eir_upper_linear": 1.0, "eir_upper_db": 0.0,
+    "eir_approximation_linear": 2.9027671527108651e+62,
+    "eir_approximation_db": 624.62812200024384,
+}
+
+
+def test_sparse_bounds_match_oracle(capsys):
+    with pytest.warns(UserWarning, match="inaccurate"):
+        code, out, err = run_cli(capsys, "bounds", "--lambda-p", "1e-60", "--delta", "1",
+                                 "--alpha", "8")
+    assert code == 0, err
+    rows, _ = csv_rows(out)
+    got = {r["quantity"]: float(r["value"]) for r in rows}
+    assert got == pytest.approx(BOUNDS_SPARSE_1E60_A8, rel=1e-11)
+
+
+def test_eir_where_lambda_p_delta_squared_underflows(capsys):
+    # lambda_p*delta^2 = 1e-360: Poisson to rounding, and the means keep lambda
+    code, out, err = run_cli(capsys, "eir", "--process", "matern1", "--lambda-p",
+                             "1e-300", "--delta", "1e-30", "--alpha", "3")
+    assert code == 0, err
+    (row,), _ = csv_rows(out)
+    assert (row["eir_linear"], row["eir_db"]) == ("1", "0")
+    assert row["mean_hardcore"] == row["mean_poisson_hole"] == "6.28318530718e-270"
 
 
 # Every analytic command over a grid of parameters from 1e-300 to 1e300,

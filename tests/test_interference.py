@@ -6,8 +6,12 @@ quadrature routes or exact identities.
 """
 
 import math
+import sys
+import warnings
 
+import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from matern_interference.analytic import affine_v_bounds, k_derivative
 from matern_interference.errors import UnsupportedMethodError, ValidationError
@@ -198,6 +202,16 @@ def test_h_integral_validation():
     # v^(alpha - 2) = (1.3e99)^4 overflows
     with pytest.raises(ValidationError, match="leaves the float range"):
         h_integral(1.3e99, 1e-100, 6.0)
+
+
+@pytest.mark.parametrize("alpha", [2.0001, 2.5, 3.0, 8.0, 20.0])
+def test_h_integral_sparse_limit(alpha):
+    # below v*x = 2^-54 the scaled gammas overflow on their own; the value
+    # is then the integral of r^(1-alpha) over [x, 2x], to rounding
+    want = (1.0 - 2.0 ** (2.0 - alpha)) / (alpha - 2.0)
+    for v in (1e-300, 1e-60, 5e-17):
+        assert h_integral(v, 1.0, alpha) == pytest.approx(want, rel=1e-15)
+    assert h_integral(6e-17, 1.0, alpha) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -444,6 +458,44 @@ def test_eir_quadrature_scale_invariant(kind):
         assert got == pytest.approx(base, rel=1e-12), c
 
 
+_MEANS = ("mean_hardcore", "mean_poisson_hole")
+
+
+@given(kind=st.sampled_from(list(ProcessKind)), log_delta=st.floats(-150.0, 150.0),
+       c=st.floats(1e-3, 1e4), alpha=st.floats(2.0, 8.0, exclude_min=True),
+       cutoff=st.floats(0.0, 1.0))
+def test_power_law_values_are_those_at_delta_one(kind, log_delta, c, alpha, cutoff):
+    # for a power law every EIR and affine-bound ratio is a function of
+    # lambda_p*delta^2 and alpha alone, computed at delta = 1: the same bits
+    # at every delta. The means are delta^-alpha times those at delta = 1.
+    delta = 10.0 ** log_delta
+    params = HardCoreParams(c / (delta * delta), delta, kind)
+    unit = HardCoreParams(params.lambda_p * delta * delta, 1.0, kind)
+    pathloss = PowerLawPathLoss(alpha, cutoff * delta)
+    unit_loss = PowerLawPathLoss(alpha, pathloss.r0 / delta)
+    methods = {ProcessKind.MATERN_I: EirMethod.APPROXIMATION,
+               ProcessKind.MATERN_II: EirMethod.UPPER_BOUND}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for method in (EirMethod.QUADRATURE, methods.get(kind, EirMethod.QUADRATURE)):
+            got, want = eir(params, pathloss, method), eir(unit, unit_loss, method)
+            assert got.eir_db == want.eir_db, method
+            for name in _MEANS:
+                value, at_one = getattr(got, name), getattr(want, name)
+                if min(value, at_one) >= sys.float_info.min and max(value, at_one) < math.inf:
+                    scaled = float(mpmath.mpf(delta) ** -alpha * at_one)
+                    assert value == pytest.approx(scaled, rel=1e-13), (method, name)
+    if kind is ProcessKind.MATERN_I:
+        for line in affine_v_bounds():
+            try:
+                want = h_bound_over_tail(unit, unit_loss, line)
+            except ValidationError:  # past the float range at either scale
+                with pytest.raises(ValidationError, match="overflows a float"):
+                    h_bound_over_tail(params, pathloss, line)
+            else:
+                assert h_bound_over_tail(params, pathloss, line) == want
+
+
 def test_inside_2delta_tabulated_knots_exact():
     # with K' = 2*pi*r and a piecewise-linear loss the integrand is a
     # polynomial in s between the mapped knots, so one Gauss-Kronrod panel
@@ -482,12 +534,18 @@ def test_eir_approximation_warns_when_sparse():
 
 
 def test_eir_approximation_refuses_products_past_the_float_range():
-    # lambda_p*b*delta^2 underflows, and delta^(2 - alpha) = 1e400 overflows
+    # lambda_p*b*delta^2 underflows
     with pytest.raises(ValidationError, match="leaves the normal float range"):
         eir_type1_approximation(HardCoreParams(1e-300, 1e-30, ProcessKind.MATERN_I), 2.5)
-    with pytest.raises(ValidationError, match="leaves the float range"), \
-            pytest.warns(UserWarning, match="inaccurate"):
-        eir_type1_approximation(HardCoreParams(1e199, 1e-100, ProcessKind.MATERN_I), 6.0)
+    # delta^(2 - alpha) = 1e400 overflows, and with it the means, but the
+    # ratio is the one at delta = 1
+    with pytest.warns(UserWarning, match="inaccurate"):
+        got = eir_type1_approximation(HardCoreParams(1e199, 1e-100, ProcessKind.MATERN_I),
+                                      6.0)
+        want = eir_type1_approximation(
+            HardCoreParams(1e199 * 1e-100 * 1e-100, 1.0, ProcessKind.MATERN_I), 6.0)
+    assert got.eir_db == want.eir_db
+    assert got.mean_poisson_hole == got.mean_hardcore == math.inf
 
 
 def test_eir_approximation_survives_extreme_density():
