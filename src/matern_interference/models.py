@@ -12,8 +12,8 @@ takes close to half of a cold ``eir`` run. The scalar value types,
 ``intensity`` and ``default_window_radius`` use ``math`` alone, and
 ``PowerLawPathLoss`` evaluates a positive Python float with ``math`` too.
 Only the array-side code imports numpy (and scipy), inside the methods that
-need it: ``PowerLawPathLoss`` on any other input, ``TabulatedPathLoss``,
-``FadingModel.sample`` and ``PointPattern``.
+need it: ``PowerLawPathLoss`` on any other input, ``TabulatedPathLoss``
+and ``PointPattern``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "PowerLawPathLoss",
     "TabulatedPathLoss",
     "PathLossModel",
-    "FadingKind",
-    "FadingModel",
     "PointPattern",
     "InterferenceEstimate",
     "intensity",
@@ -260,42 +258,6 @@ def _power(base: float, exponent: float, name: str) -> float:
     except OverflowError:
         raise ValidationError(f"{name} = {base:g}^{exponent:g} leaves the float "
                               f"range") from None
-
-
-# ---------------------------------------------------------------------------
-# Fading
-# ---------------------------------------------------------------------------
-
-
-class FadingKind(enum.Enum):
-    NONE = "none"
-    UNIT_MEAN_EXPONENTIAL = "exponential"
-    UNIT_MEAN_GAMMA = "gamma"
-
-
-@dataclass(frozen=True)
-class FadingModel:
-    """Per-node power fading; every variant has mean exactly one."""
-
-    kind: FadingKind = FadingKind.NONE
-    gamma_shape: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind is FadingKind.UNIT_MEAN_GAMMA:
-            if self.gamma_shape is None or not self.gamma_shape > 0:
-                raise ValidationError("gamma fading requires shape > 0")
-        elif self.gamma_shape is not None:
-            raise ValidationError("gamma_shape only applies to gamma fading")
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        import numpy as np
-
-        if self.kind is FadingKind.NONE:
-            return np.ones(n)
-        if self.kind is FadingKind.UNIT_MEAN_EXPONENTIAL:
-            return rng.exponential(1.0, size=n)
-        m = self.gamma_shape
-        return rng.gamma(m, 1.0 / m, size=n)
 
 
 # ---------------------------------------------------------------------------

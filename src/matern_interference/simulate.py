@@ -23,8 +23,7 @@ and a test pins them to NumPy's. The per-replicate draw order is fixed:
 (Poisson hole, type I) parent count, then one block of standard uniforms
 holding the squared radii and then the angles; (type II) origin mark,
 interior count, one block of interior squared radii, angles and marks, then
-exterior count and one block of its squared radii, angles and marks;
-fading weights are drawn last, only for retained in-window points. A
+exterior count and one block of its squared radii, angles and marks. A
 replicate only draws its blocks; scaling them into squared radii, angles
 and marks, and the coordinates, are elementwise and done once per chunk,
 which gives each replicate the bits of its own draws (_palm_parents).
@@ -50,8 +49,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ValidationError
 from .models import (
-    FadingKind,
-    FadingModel,
     HardCoreParams,
     InterferenceEstimate,
     PathLossModel,
@@ -111,7 +108,6 @@ class SimulationConfig:
     window_radius: float
     replicates: int = 1000
     seed: int = 0
-    fading: FadingModel = FadingModel()
     tail_policy: TailPolicy = TailPolicy.ANALYTIC_TAIL
 
     def __post_init__(self):
@@ -267,15 +263,6 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_seq))
 
 
-def _uniform_in_annulus(rng: np.random.Generator, r_inner: float,
-                        r_outer: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared radii and angles of n points uniform on the annulus."""
-    # squared radius uniform on [r_inner^2, r_outer^2] gives uniform area density
-    rsq = rng.uniform(r_inner * r_inner, r_outer * r_outer, n)
-    theta = rng.uniform(0.0, _TWO_PI, n)
-    return rsq, theta
-
-
 def _polar_points(rsq: np.ndarray, theta: np.ndarray) -> np.ndarray:
     r = np.sqrt(rsq)
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
@@ -291,7 +278,9 @@ def sample_parent(params: HardCoreParams, r_outer: float,
         raise ValidationError("need 0 <= r_outer < inf")
     area = math.pi * (r_outer * r_outer)
     n = int(rng.poisson(params.lambda_p * area)) if area > 0 else 0
-    points = _polar_points(*_uniform_in_annulus(rng, 0.0, r_outer, n))
+    # a squared radius uniform on [0, r_outer^2] gives uniform area density
+    rsq = rng.uniform(0.0, r_outer * r_outer, n)
+    points = _polar_points(rsq, rng.uniform(0.0, _TWO_PI, n))
     marks = (rng.uniform(0.0, 1.0, n) if params.kind is ProcessKind.MATERN_II
              else None)
     window = r_outer if r_outer > 0 else 1.0
@@ -490,7 +479,7 @@ def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
     (_thin_chunk) on a chunk of one replicate, so run_palm_ensemble
     reproduces it replicate by replicate, bit for bit."""
     _check_window(params, cfg)
-    points, _, keep, _, marks, _ = _thin_chunk(params, cfg, replicate, 1)
+    points, _, keep, _, marks = _thin_chunk(params, cfg, replicate, 1)
     return PointPattern(points=points[keep], window_radius=cfg.window_radius,
                         marks=None if marks is None else marks[keep])
 
@@ -507,12 +496,16 @@ class PalmEnsemble:
 
     radii: np.ndarray
     rep_ids: np.ndarray
-    weights: np.ndarray  # fading coefficients, ones when fading is off
     replicates: int
     window_radius: float
     delta: float
     # None for every kind: every Palm draw is exact, with no rejection
     acceptance_rate: Optional[float] = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        # all ones; read only by perfbench/workloads.py's per-replicate digest
+        return np.ones(self.radii.size)
 
 
 def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnsemble:
@@ -536,11 +529,10 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     starts = range(0, cfg.replicates, size)
     with ThreadPoolExecutor(max_workers=_ensemble_threads(len(starts))) as pool:
         chunks = list(pool.map(partial(_palm_chunk, params, cfg, size), starts))
-    radii, rep_ids, weights = zip(*chunks)
+    radii, rep_ids = zip(*chunks)
     return PalmEnsemble(
         radii=np.concatenate(radii),
         rep_ids=np.concatenate(rep_ids),
-        weights=np.concatenate(weights),
         replicates=cfg.replicates,
         window_radius=cfg.window_radius,
         delta=params.delta,
@@ -570,21 +562,18 @@ def _ensemble_threads(chunks: int) -> int:
 def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
                 chunk_start: int, chunk: int):
     """Draw and thin replicates [chunk_start, chunk_start + chunk) in one
-    KD-tree pass. Returns (points, radii, keep, rep_local, marks, rngs):
-    every parent drawn, its distance from the origin, True where it is
-    retained and in the window, its replicate's index in the chunk, its
-    mark (marks is None unless type II), and each replicate's generator,
-    past its parent draws. Each replicate only draws its uniforms; the
-    geometry is formed once per chunk (_palm_parents)."""
+    KD-tree pass. Returns (points, radii, keep, rep_local, marks): every
+    parent drawn, its distance from the origin, True where it is retained
+    and in the window, its replicate's index in the chunk, and its mark
+    (marks is None unless type II). Each replicate only draws its uniforms;
+    the geometry is formed once per chunk (_palm_parents)."""
     delta, r_window = params.delta, cfg.window_radius
     is_type2 = params.kind is ProcessKind.MATERN_II
-    rngs = []
     blocks = []
     origin_marks = [] if is_type2 else None
     for j in range(chunk):
-        rng = replicate_rng(cfg.seed, chunk_start + j)
-        interior, exterior, origin_mark = _draw_palm_parent(params, cfg, rng)
-        rngs.append(rng)
+        interior, exterior, origin_mark = _draw_palm_parent(
+            params, cfg, replicate_rng(cfg.seed, chunk_start + j))
         if is_type2:
             blocks.append(interior)
             origin_marks.append(origin_mark)
@@ -608,26 +597,18 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     keep = ~dead & (radii <= r_window)
     if marks is not None:
         marks = marks[:len(points)]
-    return points, radii, keep, rep_local, marks, rngs
+    return points, radii, keep, rep_local, marks
 
 
 def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
                 chunk_start: int):
     """Draw and thin replicates [chunk_start, chunk_start + size), as
     _thin_chunk does; run_palm_ensemble sizes chunks by their expected
-    parents. Returns the retained in-window radii, their replicate ids and
-    fading weights."""
+    parents. Returns the retained in-window radii and their replicate
+    ids."""
     chunk = min(size, cfg.replicates - chunk_start)
-    _, radii, keep, rep_local, _, rngs = _thin_chunk(params, cfg, chunk_start, chunk)
-    kept_radii = radii[keep]
-    kept_rep = rep_local[keep]
-    if cfg.fading.kind is not FadingKind.NONE:
-        per_rep = np.bincount(kept_rep, minlength=chunk)
-        weights = np.concatenate(
-            [cfg.fading.sample(rngs[j], int(per_rep[j])) for j in range(chunk)])
-    else:
-        weights = np.ones(kept_radii.size)
-    return kept_radii, kept_rep + chunk_start, weights
+    _, radii, keep, rep_local, _ = _thin_chunk(params, cfg, chunk_start, chunk)
+    return radii[keep], rep_local[keep] + chunk_start
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +620,7 @@ def interference_estimate_from_ensemble(
         ens: PalmEnsemble, params: HardCoreParams, pathloss: PathLossModel,
         tail_policy: TailPolicy = TailPolicy.ANALYTIC_TAIL) -> InterferenceEstimate:
     """Mean interference (with 95% CI) from an already-sampled ensemble."""
-    contributions = ens.weights * np.asarray(pathloss(ens.radii), dtype=float)
+    contributions = np.asarray(pathloss(ens.radii), dtype=float)
     per_rep = np.bincount(ens.rep_ids, weights=contributions,
                           minlength=ens.replicates)
     tail = 0.0
@@ -684,8 +665,8 @@ def intensity_estimate_from_ensemble(
 def estimate_mean_interference(params: HardCoreParams, pathloss: PathLossModel,
                                cfg: SimulationConfig) -> InterferenceEstimate:
     """Palm Monte Carlo estimate of the mean interference at the typical
-    point: sample, sum fading-weighted path loss within the window, and add
-    the analytic tail beyond it (zero under TruncateOnly)."""
+    point: sample, sum the path loss within the window, and add the
+    analytic tail beyond it (zero under TailPolicy.TRUNCATE_ONLY)."""
     ens = run_palm_ensemble(params, cfg)
     return interference_estimate_from_ensemble(ens, params, pathloss,
                                                cfg.tail_policy)

@@ -1,4 +1,4 @@
-"""Parameter objects, intensities, path loss models, fading, point patterns.
+"""Parameter objects, intensities, path loss models, point patterns.
 
 Frozen expected values were recomputed with mpmath at 40 significant digits
 (scripts/make_oracles.py); closed-form integrals are checked against hand
@@ -16,8 +16,6 @@ from scipy.spatial.distance import pdist
 
 from matern_interference.errors import ValidationError
 from matern_interference.models import (
-    FadingKind,
-    FadingModel,
     HardCoreParams,
     InterferenceEstimate,
     PointPattern,
@@ -265,39 +263,6 @@ def test_tabulated_radial_integral_matches_numpy_reference(knots, start, width):
     # the trapezoid reference carries half-panel endpoint error where the
     # support ends, so the comparison tolerance is discretization-limited
     assert got == pytest.approx(want, rel=1e-3, abs=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# Fading
-# ---------------------------------------------------------------------------
-
-
-def test_fading_validation():
-    with pytest.raises(ValidationError):
-        FadingModel(FadingKind.UNIT_MEAN_GAMMA)  # missing shape
-    with pytest.raises(ValidationError):
-        FadingModel(FadingKind.UNIT_MEAN_GAMMA, gamma_shape=0.0)
-    with pytest.raises(ValidationError):
-        FadingModel(FadingKind.NONE, gamma_shape=2.0)
-
-
-def test_fading_samples_have_unit_mean():
-    rng = np.random.default_rng(1234)
-    n = 200000
-    for model in (FadingModel(),
-                  FadingModel(FadingKind.UNIT_MEAN_EXPONENTIAL),
-                  FadingModel(FadingKind.UNIT_MEAN_GAMMA, gamma_shape=3.0)):
-        draws = model.sample(rng, n)
-        assert draws.shape == (n,)
-        assert np.all(draws >= 0)
-        # mean 1 within 5 standard errors of the sample mean
-        se = draws.std(ddof=1) / math.sqrt(n)
-        assert abs(draws.mean() - 1.0) <= max(5.0 * se, 1e-12)
-
-
-def test_fading_none_is_exactly_ones():
-    rng = np.random.default_rng(0)
-    assert np.all(FadingModel().sample(rng, 7) == 1.0)
 
 
 # ---------------------------------------------------------------------------

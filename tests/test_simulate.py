@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matern_interference import simulate
+from matern_interference.analytic import k_function
 from matern_interference.errors import ValidationError
 from matern_interference.interference import mean_interference_quadrature
 from matern_interference.models import (
-    FadingKind,
-    FadingModel,
     HardCoreParams,
     PointPattern,
     PowerLawPathLoss,
@@ -304,32 +303,23 @@ def test_ensemble_matches_per_replicate_sampling_bitwise(kind):
         pat = sample_palm(params, cfg, replicate=rep)
         assert np.array_equal(from_ens, np.sort(pat.radii)), rep
     assert ens.acceptance_rate is None
-    assert np.all(ens.weights == 1.0)
+    # the benchmark's per-replicate digest still multiplies by these
+    assert np.array_equal(ens.weights, np.ones(ens.radii.size))
 
-    # several chunks, on more than one thread where the machine has the
-    # cores; the type II case also draws fading weights, which come from
-    # the replicate's stream right after its Palm draw
-    fading = (FadingModel(FadingKind.UNIT_MEAN_EXPONENTIAL)
-              if kind is ProcessKind.MATERN_II else FadingModel())
-    cfg = SimulationConfig(window_radius=6.0, replicates=600, seed=3,
-                           fading=fading)
+    # several chunks, on more than one thread where the machine has the cores
+    cfg = SimulationConfig(window_radius=6.0, replicates=600, seed=3)
     ens = run_palm_ensemble(params, cfg)
     assert np.all(np.diff(ens.rep_ids) >= 0)
     for rep in SEAM_REPLICATES:
         in_rep = ens.rep_ids == rep
         pat = sample_palm(params, cfg, replicate=rep)
         assert np.array_equal(ens.radii[in_rep], pat.radii), rep
-        rng = replicate_rng(cfg.seed, rep)
-        simulate._draw_palm_parent(params, cfg, rng)
-        want = cfg.fading.sample(rng, len(pat))
-        assert np.array_equal(ens.weights[in_rep], want), rep
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
 def test_ensemble_is_the_same_at_any_chunk_size(kind, monkeypatch):
     params = HardCoreParams(1.5, 0.8, kind)
-    cfg = SimulationConfig(window_radius=6.0, replicates=40, seed=11,
-                           fading=FadingModel(FadingKind.UNIT_MEAN_EXPONENTIAL))
+    cfg = SimulationConfig(window_radius=6.0, replicates=40, seed=11)
     expected = params.lambda_p * math.pi * (6.0 + 0.8) ** 2
     ensembles = []
     # one replicate per chunk, an odd size that leaves a short last chunk,
@@ -342,7 +332,6 @@ def test_ensemble_is_the_same_at_any_chunk_size(kind, monkeypatch):
     for ens in ensembles[1:]:
         assert np.array_equal(ens.radii, first.radii)
         assert np.array_equal(ens.rep_ids, first.rep_ids)
-        assert np.array_equal(ens.weights, first.weights)
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
@@ -390,53 +379,44 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
     assert np.array_equal(ens.radii, np.tile(want, 600))
 
 
-# sha256 of radii, rep_ids and weights (little-endian float64 / int64) of
-# 600-replicate ensembles: the six criterion-6
-# parameter sets at their seeds, and one type II set with fading. These
-# pin the random stream itself, which the bitwise test above cannot see
-# because both of its sides share the Palm draw. Recorded with NumPy 2.4 on
-# x86-64; a NumPy with other samplers or trigonometric functions may differ.
+# sha256 of radii and rep_ids (little-endian float64 / int64) of
+# 600-replicate ensembles: the six criterion-6 parameter sets at their
+# seeds, and one more type II set. These pin the random stream itself,
+# which the bitwise test above cannot see because both of its sides share
+# the Palm draw. Recorded with NumPy 2.4 on x86-64; a NumPy with other
+# samplers or trigonometric functions may differ.
 STREAM_DIGESTS = [
-    ((ProcessKind.MATERN_I, 1.0, 1.0, 7.0, 10, FadingKind.NONE), 4016,
+    ((ProcessKind.MATERN_I, 1.0, 1.0, 7.0, 10), 4016,
      "94acadbf6f315c8c8f898f3c104a039e52cdf0fd73d56764e62c06c2e92c911a",
-     "fce1323c83090ad3250d838a1b1b6b66ce8117417b47c1004373157ff56bb12b",
-     "a90eec5fd2888c74ab98f9c67057bce4d6552e2b5e6fc1f2fc4f5a635d623e37"),
-    ((ProcessKind.MATERN_II, 1.0, 1.0, 7.0, 13, FadingKind.NONE), 27597,
+     "fce1323c83090ad3250d838a1b1b6b66ce8117417b47c1004373157ff56bb12b"),
+    ((ProcessKind.MATERN_II, 1.0, 1.0, 7.0, 13), 27597,
      "1c7f58af8daf192ea9acc3d95aa37f75893dcf5bf11694551dfb2d12f68e1601",
-     "1023ba21236355a38c05e3f01f50cf5a9b6e1d759ae076127d56f757614b6745",
-     "5ac92a682fb964acb2f0cdcea98064b6bca978481e75d2e0d57577ba37654d52"),
-    ((ProcessKind.MATERN_I, 2.0, 0.5, 4.0, 21, FadingKind.NONE), 12711,
+     "1023ba21236355a38c05e3f01f50cf5a9b6e1d759ae076127d56f757614b6745"),
+    ((ProcessKind.MATERN_I, 2.0, 0.5, 4.0, 21), 12711,
      "4dfe3454c982d3cc522ba37758624a5ff3109cb05927ccb53e36f3d4a2c2dcc1",
-     "a0ded5fc3880108fc3a7062dd3e8c8bd4b8874c2b8ad6ca3165c9c63a2019fde",
-     "059a96055d705c21fd2f0e2b7344b35f605c43ba7437f333ca9b27266e5b3b1b"),
-    ((ProcessKind.MATERN_II, 2.0, 0.5, 4.0, 14, FadingKind.NONE), 30049,
+     "a0ded5fc3880108fc3a7062dd3e8c8bd4b8874c2b8ad6ca3165c9c63a2019fde"),
+    ((ProcessKind.MATERN_II, 2.0, 0.5, 4.0, 14), 30049,
      "cfdf724b71bf164d780514e2ea20105a15a2e319e2b4e3f34d6b69c2cbee5253",
-     "d8cf6f35e417ceb0ae5b015e3cc7fc713038d538753e34e2de24bca607c64444",
-     "02e04551080c09f8aa9886955210728e0b4926e8b9d40cb50bb94d36811488a7"),
-    ((ProcessKind.MATERN_I, 2.0, 1.0, 7.0, 12, FadingKind.NONE), 402,
+     "d8cf6f35e417ceb0ae5b015e3cc7fc713038d538753e34e2de24bca607c64444"),
+    ((ProcessKind.MATERN_I, 2.0, 1.0, 7.0, 12), 402,
      "764d4d0b1530081cf90d1eef076c6fd4e5ec1d13eef0e3c1ff4b6adb8d8092c8",
-     "785ffc2d967f9dfdddc37c4319bc7a69814a15e48137a9b72e0721048a6e0078",
-     "7f3b0c407a2ce566559f277913de321a828a6f0527fb2c1bf2e6e615d1c83823"),
-    ((ProcessKind.MATERN_II, 2.0, 1.0, 5.0, 25, FadingKind.NONE), 14396,
+     "785ffc2d967f9dfdddc37c4319bc7a69814a15e48137a9b72e0721048a6e0078"),
+    ((ProcessKind.MATERN_II, 2.0, 1.0, 5.0, 25), 14396,
      "d7ed368c6b819e6ea6d93b0411a0dc7c67b3f2b5cd85c241dbf0df1523d94d02",
-     "f63bc2ff056a5f183e6ded4e321b2d2fc32f0ef294f8cebb2ea124406cecc9eb",
-     "0e6e8bb6bb6149c9c331a4f53201c7f6d6eae74ae84852c51a120bbec662382a"),
-    ((ProcessKind.MATERN_II, 1.5, 0.8, 6.0, 3, FadingKind.UNIT_MEAN_EXPONENTIAL),
-     31568,
+     "f63bc2ff056a5f183e6ded4e321b2d2fc32f0ef294f8cebb2ea124406cecc9eb"),
+    ((ProcessKind.MATERN_II, 1.5, 0.8, 6.0, 3), 31568,
      "72fcf6f42a8023107378b26238ef517303b925fbfef201386c9dd24633adc3e9",
-     "d77362f52853fb5ac9c5c260a1644eaa2a648601c95acde459cf39d11de1929d",
-     "edf89d67cc1f8076151e3569ba1e443c9219a2dfcafedb41c40b88159d076938"),
+     "d77362f52853fb5ac9c5c260a1644eaa2a648601c95acde459cf39d11de1929d"),
 ]
 
 
 @pytest.mark.parametrize(
-    "case, size, radii, rep_ids, weights", STREAM_DIGESTS,
-    ids=[f"{kind.name}-{lam}-{delta}-w{window}-s{seed}-{fading.value}"
-         for (kind, lam, delta, window, seed, fading), *_ in STREAM_DIGESTS])
-def test_ensemble_stream_is_pinned(case, size, radii, rep_ids, weights):
-    kind, lam, delta, window, seed, fading = case
-    cfg = SimulationConfig(window_radius=window, replicates=600, seed=seed,
-                           fading=FadingModel(fading))
+    "case, size, radii, rep_ids", STREAM_DIGESTS,
+    ids=[f"{kind.name}-{lam}-{delta}-w{window}-s{seed}"
+         for (kind, lam, delta, window, seed), *_ in STREAM_DIGESTS])
+def test_ensemble_stream_is_pinned(case, size, radii, rep_ids):
+    kind, lam, delta, window, seed = case
+    cfg = SimulationConfig(window_radius=window, replicates=600, seed=seed)
     ens = run_palm_ensemble(HardCoreParams(lam, delta, kind), cfg)
 
     def digest(values, dtype):
@@ -446,7 +426,6 @@ def test_ensemble_stream_is_pinned(case, size, radii, rep_ids, weights):
     assert ens.radii.size == size
     assert digest(ens.radii, "<f8") == radii
     assert digest(ens.rep_ids, "<i8") == rep_ids
-    assert digest(ens.weights, "<f8") == weights
     assert ens.acceptance_rate is None
 
 
@@ -548,30 +527,6 @@ def test_std_error_shrinks_with_replicates():
     assert 0.3 < ratio < 0.8  # ideal is 0.5
 
 
-def test_fading_leaves_the_mean_unchanged():
-    params = HardCoreParams(1.0, 1.0, ProcessKind.MATERN_I)
-    pathloss = PowerLawPathLoss(3.0)
-    base = SimulationConfig(window_radius=12.0, replicates=400, seed=6)
-    faded_cfg = dataclasses.replace(
-        base, fading=FadingModel(FadingKind.UNIT_MEAN_EXPONENTIAL))
-    plain = estimate_mean_interference(params, pathloss, base)
-    faded = estimate_mean_interference(params, pathloss, faded_cfg)
-    gap = abs(plain.mean - faded.mean)
-    assert gap < 4.0 * (plain.std_error + faded.std_error)
-    assert faded.std_error > plain.std_error  # fading adds variance
-
-
-def test_ensemble_weights_vary_under_fading():
-    params = HardCoreParams(1.5, 0.8, ProcessKind.MATERN_I)
-    cfg = SimulationConfig(window_radius=6.0, replicates=30, seed=3,
-                           fading=FadingModel(FadingKind.UNIT_MEAN_GAMMA,
-                                              gamma_shape=2.0))
-    ens = run_palm_ensemble(params, cfg)
-    assert np.all(ens.weights > 0.0)
-    assert float(np.std(ens.weights)) > 0.0
-    assert 0.8 < float(np.mean(ens.weights)) < 1.2
-
-
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
 def test_stationary_intensity_estimate_matches_closed_form(kind):
     params = HardCoreParams(2.0, 0.5, kind)
@@ -605,15 +560,20 @@ def test_interference_estimate_reuses_ensemble():
     assert direct.std_error == wrapped.std_error
 
 
-def test_k_function_estimate_on_poisson_hole():
-    params = HardCoreParams(2.0, 1.0, ProcessKind.POISSON_HOLE)
-    cfg = SimulationConfig(window_radius=10.0, replicates=60, seed=9)
-    grid = [1.5, 2.0, 3.0, 5.0]
+@pytest.mark.parametrize("params, window, replicates", [
+    (HardCoreParams(2.0, 1.0, ProcessKind.POISSON_HOLE), 10.0, 60),
+    (HardCoreParams(2.0, 0.5, ProcessKind.MATERN_II), 3.0, 2000),
+])
+def test_k_function_estimate_matches_analytic(params, window, replicates):
+    # type I is checked the same way by criterion 7
+    cfg = SimulationConfig(window_radius=window, replicates=replicates, seed=9)
+    grid = [f * params.delta for f in (1.5, 2.0, 3.0, 5.0)]
     est = estimate_k_function(run_palm_ensemble(params, cfg), grid)
-    assert est.replicates == 60
-    assert abs(est.intensity_estimate - 2.0) / 2.0 < 0.05
+    assert est.replicates == replicates
+    lam = intensity(params)
+    assert abs(est.intensity_estimate - lam) / lam < 0.05
     for r, k_hat, se in zip(est.radii, est.k_values, est.std_errors):
-        want = math.pi * (r * r - 1.0)
+        want = k_function(params, r)
         assert se > 0.0
         assert abs(k_hat - want) < 4.0 * se, r
 
