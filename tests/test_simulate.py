@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from matern_interference import simulate
 from matern_interference.analytic import k_function
@@ -200,6 +201,32 @@ def test_sample_parent_validation():
         sample_parent(type1(1.0), -1.0, rng)
     with pytest.raises(ValidationError):
         sample_parent(type1(1.0), math.inf, rng)
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_sample_parent_draws_count_radii_angles_marks_in_order(kind):
+    params = HardCoreParams(1.5, 0.5, kind)
+    pat = sample_parent(params, 4.0, replicate_rng(5, 2))
+    rng = replicate_rng(5, 2)
+    n = int(rng.poisson(1.5 * math.pi * 16.0))
+    r = np.sqrt(rng.uniform(0.0, 16.0, n))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    assert len(pat) == n > 0
+    assert np.array_equal(pat.points,
+                          np.column_stack((r * np.cos(theta), r * np.sin(theta))))
+    if kind is ProcessKind.MATERN_II:
+        assert np.array_equal(pat.marks, rng.uniform(0.0, 1.0, n))
+    else:
+        assert pat.marks is None
+
+
+def test_sample_parent_is_uniform_on_the_disk():
+    pat = sample_parent(type1(1.0), 5.0, replicate_rng(17, 0))
+    assert len(pat) > 50
+    # uniform area density: (r/W)^2 and the angle over 2*pi are U(0, 1)
+    angles = np.arctan2(pat.points[:, 1], pat.points[:, 0]) % (2.0 * math.pi)
+    for u in ((pat.radii / 5.0) ** 2, angles / (2.0 * math.pi)):
+        assert stats.kstest(u, "uniform").pvalue > 1e-3
 
 
 def test_simulation_config_validation():
@@ -558,6 +585,36 @@ def test_interference_estimate_reuses_ensemble():
     wrapped = estimate_mean_interference(params, pathloss, cfg)
     assert direct.mean == wrapped.mean
     assert direct.std_error == wrapped.std_error
+
+
+@pytest.mark.parametrize("policy", [TailPolicy.ANALYTIC_TAIL,
+                                    TailPolicy.TRUNCATE_ONLY])
+def test_interference_estimate_is_the_per_replicate_sum_of_path_loss(policy):
+    params = HardCoreParams(1.0, 1.0, ProcessKind.MATERN_II)
+    pathloss = PowerLawPathLoss(4.0)
+    cfg = SimulationConfig(window_radius=5.0, replicates=30, seed=4)
+    ens = run_palm_ensemble(params, cfg)
+    est = interference_estimate_from_ensemble(ens, params, pathloss, policy)
+    sums = [float(np.sum(pathloss(ens.radii[ens.rep_ids == k])))
+            for k in range(cfg.replicates)]
+    tail = (2.0 * math.pi * intensity(params)
+            * pathloss.radial_integral(5.0, math.inf)
+            if policy is TailPolicy.ANALYTIC_TAIL else 0.0)
+    assert est.tail_correction == tail
+    assert est.mean == pytest.approx(float(np.mean(sums)) + tail, rel=1e-12)
+    assert est.std_error == pytest.approx(
+        float(np.std(sums, ddof=1)) / math.sqrt(cfg.replicates), rel=1e-10)
+
+
+def test_palm_ensemble_weights_are_read_only_ones():
+    ens = run_palm_ensemble(HardCoreParams(1.5, 0.8, ProcessKind.MATERN_I),
+                            SimulationConfig(window_radius=6.0, replicates=5,
+                                             seed=2))
+    assert ens.weights.dtype == np.float64
+    assert np.array_equal(ens.weights, np.ones(ens.radii.size))
+    assert "weights" not in {f.name for f in dataclasses.fields(ens)}
+    with pytest.raises(AttributeError):
+        ens.weights = np.zeros(ens.radii.size)
 
 
 @pytest.mark.parametrize("params, window, replicates", [
