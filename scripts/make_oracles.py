@@ -45,6 +45,23 @@ def dense_type1_eir_db(lam, alpha):
     return 10 * log_eir / mp.log(10)
 
 
+def affine_eir_db(c, alpha, a, b):
+    """The paper's affine-bound type I EIR in dB at delta = 1, for
+    c = lambda_p*delta^2 and the comparison line a + b*r on the union area.
+
+    ln EIR = ln(t + 1) - (alpha - 2) ln 2, where t is the transition-annulus
+    interference over the tail's: e^(c (pi - a)) times the integral of
+    r^(1 - alpha) e^(-c b r) over [1, 2], an incomplete gamma of order
+    2 - alpha, over the tail integral from 2.
+    """
+    c, alpha = mp.mpf(c), mp.mpf(alpha)
+    v = c * b
+    inner = v**(alpha - 2) * mp.gammainc(2 - alpha, a=v, b=2 * v)
+    tail = mp.mpf(2)**(2 - alpha) / (alpha - 2)
+    t = mp.e**(c * (mp.pi - a)) * inner / tail
+    return 10 * (mp.log(t + 1) - (alpha - 2) * mp.log(2)) / mp.log(10)
+
+
 def main() -> None:
     pi = mp.pi
 
@@ -146,6 +163,11 @@ def main() -> None:
             e = (bound_ratio(lam, a, b, d8) + 1) / 2**(alpha3 - 2)
             print(f"lambda_p={mp.nstr(lam, 3)} {name}:", mp.nstr(e, 17),
                   " dB:", mp.nstr(10 * mp.log10(e), 17))
+
+    print("== affine-bound type I EIR past the linear float range, "
+          "lambda_p=10, delta=8, alpha=3 (dB) ==")
+    for name, a, b in (("lower", a_tan, b_tan), ("upper", a_cho, b_cho)):
+        print(f"eir_{name}_db:", mp.nstr(affine_eir_db(10 * d8**2, alpha3, a, b), 17))
 
     print("== dense type I figure1 means over lambda, lambda_p=4, delta=9, alpha=3 ==")
     d9 = mp.mpf(9)

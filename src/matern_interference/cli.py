@@ -34,10 +34,9 @@ from .interference import (
     _warn_sparse_approximation,
     EirMethod,
     eir,
-    eir_type1_approximation,
+    eir_affine_bound,
     eir_type2_bound,
     h_bound,
-    h_bound_over_tail,
     interference_outside_2delta,
     mean_interference_quadrature,
     NU_TYPE2_UNIVERSAL,
@@ -226,20 +225,17 @@ def _run_bounds(p: dict):
     h_low = h_bound(params, pathloss, upper_on_v)   # upper line on V -> lower bound
     h_high = h_bound(params, pathloss, lower_on_v)  # chord on V -> upper bound
     outside = interference_outside_2delta(params, pathloss)
-    # the ratios to the tail are formed without lambda, which underflows
-    # for a dense process while the ratios stay finite
-    scale = 2.0 ** (pathloss.alpha - 2.0)
-    eir_low = (h_bound_over_tail(params, pathloss, upper_on_v) + 1.0) / scale
-    eir_high = (h_bound_over_tail(params, pathloss, lower_on_v) + 1.0) / scale
-    approx = eir_type1_approximation(params, pathloss.alpha)
+    low = eir_affine_bound(params, pathloss, upper_on_v)
+    high = eir_affine_bound(params, pathloss, lower_on_v)
+    approx = eir(params, pathloss, EirMethod.APPROXIMATION)
     rows = [
         {"quantity": "transition_interference_lower", "value": h_low},
         {"quantity": "transition_interference_upper", "value": h_high},
         {"quantity": "interference_beyond_2delta", "value": outside},
-        {"quantity": "eir_lower_linear", "value": eir_low},
-        {"quantity": "eir_lower_db", "value": _LOG10_E10 * math.log(eir_low)},
-        {"quantity": "eir_upper_linear", "value": eir_high},
-        {"quantity": "eir_upper_db", "value": _LOG10_E10 * math.log(eir_high)},
+        {"quantity": "eir_lower_linear", "value": low.eir_linear},
+        {"quantity": "eir_lower_db", "value": low.eir_db},
+        {"quantity": "eir_upper_linear", "value": high.eir_linear},
+        {"quantity": "eir_upper_db", "value": high.eir_db},
         {"quantity": "eir_approximation_linear", "value": approx.eir_linear},
         {"quantity": "eir_approximation_db", "value": approx.eir_db},
     ]
@@ -297,17 +293,14 @@ def _run_figure1(p: dict):
         params1 = HardCoreParams(lam_p, delta, ProcessKind.MATERN_I)
         params2 = HardCoreParams(lam_p, delta, ProcessKind.MATERN_II)
         poisson_norm = 2.0 * math.pi * pathloss.radial_integral(delta, math.inf)
-        # the type I means over lambda: the tail's, times one plus the
-        # lambda-free ratio of the transition bound to the tail
-        beyond = 2.0 * math.pi * pathloss.radial_integral(2.0 * delta, math.inf)
+        low, high = (eir_affine_bound(params1, pathloss, line).eir_linear
+                     for line in (upper_on_v, lower_on_v))
         row = {
             "delta": delta,
             "poisson_hole": poisson_norm,
             "matern2_upper_bound": type2_cap * poisson_norm,
-            "matern1_lower":
-                (h_bound_over_tail(params1, pathloss, upper_on_v) + 1.0) * beyond,
-            "matern1_upper":
-                (h_bound_over_tail(params1, pathloss, lower_on_v) + 1.0) * beyond,
+            "matern1_lower": _times_eir(poisson_norm, low, "matern1_lower", delta),
+            "matern1_upper": _times_eir(poisson_norm, high, "matern1_upper", delta),
             "matern1_quadrature": _times_eir(
                 poisson_norm, eir(params1, pathloss).eir_linear,
                 "matern1_quadrature", delta),
@@ -318,7 +311,7 @@ def _run_figure1(p: dict):
         # one warning for the sweep, after it, instead of one per row
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ApproximationWarning)
-            approx = eir_type1_approximation(params1, alpha)
+            approx = eir(params1, pathloss, EirMethod.APPROXIMATION)
         if lam_p * delta * delta <= _SPARSE_APPROXIMATION:
             sparse.append(lam_p * delta * delta)
         row["matern1_approximation"] = _times_eir(

@@ -19,11 +19,10 @@ at r = delta, and P is carried as a logarithm: ``eir`` forms
 ln EIR = P + ln(I~ + e^-P * outer) - ln(reference) from the scaled
 integral I~ and the closed-form integrals of the loss beyond 2*delta and
 beyond delta, so its decibels are finite at every density that
-``HardCoreParams`` accepts. The ratios of
-the affine bounds to the tail are likewise formed without lambda
-(``h_bound_over_tail``), but they leave the float range past
-lambda_p*delta^2 of about 600, where a validation error is raised. For a
-power law all are taken at delta = 1 (``_at_unit_delta``), from lambda_p*delta^2.
+``HardCoreParams`` accepts. The paper's type I band is such a log-EIR
+too (``eir_affine_bound``), finite in decibels wherever its scaled
+incomplete gammas are floats. For a power law all are taken at delta = 1
+(``_at_unit_delta``), from lambda_p*delta^2.
 """
 
 from __future__ import annotations
@@ -63,9 +62,8 @@ __all__ = [
     "mean_interference_poisson_hole",
     "h_integral",
     "h_bound",
-    "h_bound_over_tail",
+    "eir_affine_bound",
     "eir",
-    "eir_type1_approximation",
     "eir_type2_bound",
 ]
 
@@ -98,7 +96,6 @@ class EirReport:
     mean_poisson_hole: float
     eir_linear: float
     eir_db: float
-    method: EirMethod
 
     def __post_init__(self):
         if math.isfinite(self.eir_linear) and self.eir_linear > 0:
@@ -355,37 +352,40 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
                  (-lam_p * bound.a * delta * delta,))
 
 
-def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
-                      bound: AffineVBound) -> float:
-    """h_bound(params, pathloss, bound) / interference_outside_2delta(params,
-    pathloss) for a type I process and a power law, formed without lambda.
+def eir_affine_bound(params: HardCoreParams, pathloss: PathLossModel,
+                     bound: AffineVBound) -> EirReport:
+    """The type I EIR bound (t + 1) / 2^(alpha - 2) for a power law, where
+    t = h_bound(params, pathloss, bound) / interference_outside_2delta: the
+    lower bound for an upper line on the union area, the upper for a lower.
 
-    Both means carry lambda_p * exp(-lambda_p * delta^2 * c), so the ratio
-    is exp(lambda_p*delta^2*(pi - a - b)) times the scaled closed form of
-    h_integral over the tail integral from 2*delta, at delta = 1. Where
-    lambda underflows the quotient of the two means is 0/0, but this ratio
-    stays finite until it leaves the float range itself, where a validation
-    error is raised. The affine-bound EIR is (this + 1) / 2^(alpha - 2).
+    Neither mean is formed: at delta = 1, with c = lambda_p*delta^2, ln t
+    is c*(pi - a - b) plus the log of the scaled closed form of h_integral
+    over the tail integral from 2, and ln EIR comes from ln t without
+    forming t. Where that scaled closed form is no float, a validation
+    error naming the float range is raised.
     """
     if params.kind is not ProcessKind.MATERN_I:
         raise ValidationError("the affine bounds apply to the type I process only")
     if not isinstance(pathloss, PowerLawPathLoss):
         raise UnsupportedMethodError(
-            "the lambda-free affine-bound ratio requires power-law path loss")
+            "the closed-form affine-bound EIR requires power-law path loss")
     if params.delta <= 0:
-        raise ValidationError("h_bound_over_tail requires delta > 0")
+        raise ValidationError("the affine-bound EIR requires delta > 0")
     unit, unit_loss = _at_unit_delta(params, pathloss)
-    lam_p, delta = unit.lambda_p, unit.delta
-    power, _, gammas = _h_integral_parts(lam_p * bound.b * delta, delta,
-                                         unit_loss.alpha)
-    exponent = lam_p * delta * delta * (math.pi - bound.a - bound.b)
-    ratio = (_exp(exponent) * power * gammas
-             / unit_loss.radial_integral(2.0 * delta, math.inf))
-    if math.isinf(ratio):
+    c, alpha = unit.lambda_p, unit_loss.alpha
+    power, _, gammas = _h_integral_parts(c * bound.b, 1.0, alpha)
+    scaled = power * gammas
+    if not 0.0 < scaled < math.inf:
         raise ValidationError(
-            "the ratio of the affine-bound interference to the tail overflows "
-            f"a float at lambda_p*delta^2 = {lam_p * delta * delta:g}")
-    return ratio
+            "the scaled affine-bound transition integral leaves the float "
+            f"range at lambda_p*delta^2 = {c:g}")
+    log_t = (c * (math.pi - bound.a - bound.b)
+             + math.log(scaled / unit_loss.radial_integral(2.0, math.inf)))
+    # ln(t + 1) = max(ln t, 0) + log1p(e^-|ln t|)
+    log_eir = (max(log_t, 0.0) + math.log1p(math.exp(-abs(log_t)))
+               - (alpha - 2.0) * math.log(2.0))
+    return _closed_form_report(params, pathloss,
+                               unit_loss.radial_integral(1.0, math.inf), log_eir)
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +393,19 @@ def h_bound_over_tail(params: HardCoreParams, pathloss: PathLossModel,
 # ---------------------------------------------------------------------------
 
 
-def _report(mean_hardcore: float, mean_poisson: float, method: EirMethod,
-            log_eir: float) -> EirReport:
+def _report(mean_hardcore: float, mean_poisson: float, log_eir: float) -> EirReport:
     """The report of an EIR given by its natural log; ``eir_linear`` is inf
     once the ratio overflows, while ``eir_db`` stays finite."""
     return EirReport(mean_hardcore=mean_hardcore, mean_poisson_hole=mean_poisson,
-                     eir_linear=_exp(log_eir), eir_db=_LOG10_E10 * log_eir, method=method)
+                     eir_linear=_exp(log_eir), eir_db=_LOG10_E10 * log_eir)
+
+
+def _closed_form_report(params: HardCoreParams, pathloss: PathLossModel,
+                        hole: float, log_eir: float) -> EirReport:
+    """The report of a closed-form EIR e^log_eir: the Poisson-hole mean from
+    its lambda-free ``hole`` integral, and e^log_eir times it."""
+    return _report(_times_intensity(params, pathloss, hole, log_eir),
+                   _times_intensity(params, pathloss, hole), log_eir)
 
 
 def eir(params: HardCoreParams, pathloss: PathLossModel,
@@ -413,20 +420,17 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     lambda_p*delta^2 above about 580), computed at delta = 1 for a power
     law, while the means may be 0 or inf. A table that vanishes beyond
     delta is a validation error. UPPER_BOUND is the type II
-    closed-form cap; APPROXIMATION is the paper's type I closed form, which
-    is close to quadrature only near lambda_p*delta^2 = 9 (see
-    eir_type1_approximation).
+    closed-form cap; APPROXIMATION is the paper's type I closed form for a
+    power law, which is close to quadrature only near lambda_p*delta^2 = 9
+    (see ``_approximation_log_eir``).
     """
     kind = params.kind
-    if method is EirMethod.UPPER_BOUND:
-        if kind is not ProcessKind.MATERN_II:
-            raise UnsupportedMethodError(
-                "the closed-form EIR upper bound exists for the type II "
-                "process only")
-        mean_poisson = mean_interference_poisson_hole(params, pathloss)
-        alpha = pathloss.alpha if isinstance(pathloss, PowerLawPathLoss) else None
-        ratio = eir_type2_bound(alpha)
-        return _report(ratio * mean_poisson, mean_poisson, method, math.log(ratio))
+    if not isinstance(method, EirMethod):
+        raise UnsupportedMethodError(f"unknown EIR method {method!r}")
+    if method is EirMethod.UPPER_BOUND and kind is not ProcessKind.MATERN_II:
+        raise UnsupportedMethodError(
+            "the closed-form EIR upper bound exists for the type II "
+            "process only")
     if method is EirMethod.APPROXIMATION:
         if kind is not ProcessKind.MATERN_I:
             raise UnsupportedMethodError(
@@ -435,19 +439,22 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
         if not isinstance(pathloss, PowerLawPathLoss):
             raise UnsupportedMethodError(
                 "the EIR approximation requires power-law path loss")
-        _at_unit_delta(params, pathloss)  # for its check of the cutoff
-        return eir_type1_approximation(params, pathloss.alpha)
-    if method is not EirMethod.QUADRATURE:
-        raise UnsupportedMethodError(f"unknown EIR method {method!r}")
 
     unit, unit_loss = _at_unit_delta(params, pathloss)
+    if method is EirMethod.APPROXIMATION:
+        log_eir = _approximation_log_eir(params, pathloss.alpha)
+    elif method is EirMethod.UPPER_BOUND:
+        log_eir = math.log(eir_type2_bound(
+            pathloss.alpha if isinstance(pathloss, PowerLawPathLoss) else None))
     hole = unit_loss.radial_integral(unit.delta, math.inf)
+    if method is not EirMethod.QUADRATURE:
+        return _closed_form_report(params, pathloss, hole, log_eir)
     mean_poisson = _times_intensity(params, pathloss, hole)
     if kind is ProcessKind.POISSON_HOLE:
-        return _report(mean_poisson, mean_poisson, method, 0.0)
+        return _report(mean_poisson, mean_poisson, 0.0)
     if params.delta == 0.0:
         mean_hardcore = mean_interference_quadrature(params, pathloss)
-        return _report(mean_hardcore, mean_poisson, method, 0.0)
+        return _report(mean_hardcore, mean_poisson, 0.0)
     # both means carry the factor lambda, so the ratio is formed from
     # lambda-free integrals, with the type I peak e^P as a logarithm
     scaled, log_peak = _transition_integral(unit, unit_loss)
@@ -463,15 +470,15 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
     # mean_interference_quadrature's value, bit for bit
     mean_hardcore = (_annulus_mean(params, pathloss, scaled)
                      + _times_intensity(params, pathloss, radial))
-    return _report(mean_hardcore, mean_poisson, method, log_eir)
+    return _report(mean_hardcore, mean_poisson, log_eir)
 
 
-# eir_type1_approximation warns at and below this lambda_p*delta^2
+# the EIR approximation warns at and below this lambda_p*delta^2
 _SPARSE_APPROXIMATION = 4.0
 
 
 def _warn_sparse_approximation(got: str, stacklevel: int = 2) -> None:
-    """The ApproximationWarning of eir_type1_approximation, for the
+    """The ApproximationWarning of the EIR approximation, for the
     lambda_p*delta^2 described by ``got``."""
     warnings.warn(
         f"EIR approximation is inaccurate for lambda_p*delta^2 <= 4 (got {got}); "
@@ -479,13 +486,12 @@ def _warn_sparse_approximation(got: str, stacklevel: int = 2) -> None:
         ApproximationWarning, stacklevel=stacklevel)
 
 
-def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
-    """Closed-form type I EIR approximation, built from the lower affine
-    bound and the asymptotics of h_integral.
+def _approximation_log_eir(params: HardCoreParams, alpha: float) -> float:
+    """ln of ``eir``'s closed-form type I APPROXIMATION, built from the
+    lower affine bound and the asymptotics of h_integral.
 
-    Grows like exp(lambda_p * delta^2 * TYPE1_GROWTH_EXPONENT); the log of
-    the ratio is formed first so the decibel value stays finite even when
-    the linear ratio overflows. It is not accurate for lambda_p*delta^2 > 4:
+    Grows like exp(lambda_p * delta^2 * TYPE1_GROWTH_EXPONENT), so its log
+    keeps the decibels finite. It is not accurate for lambda_p*delta^2 > 4:
     the exact EIR grows with exponent 2*pi/3 - sqrt(3)/2 = 1.2284, so the
     approximation falls ever further below it. At alpha = 3, approximation
     minus quadrature is +2.35 dB at lambda_p*delta^2 = 5, +0.69 dB at 8,
@@ -493,11 +499,6 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
     [7.5, 11]. Warns for lambda_p*delta^2 <= 4, where it is worse still.
     A lambda_p*b*delta^2 below the normal float range is a validation error.
     """
-    if params.kind is not ProcessKind.MATERN_I:
-        raise UnsupportedMethodError(
-            "the closed-form EIR approximation exists for the type I "
-            "process only")
-    pathloss = PowerLawPathLoss(alpha)
     if params.delta <= 0:
         raise ValidationError("the EIR approximation requires delta > 0")
     density = params.lambda_p * params.delta * params.delta  # c, unclamped
@@ -507,15 +508,11 @@ def eir_type1_approximation(params: HardCoreParams, alpha: float) -> EirReport:
             f"lambda_p*b*delta^2 = {tangent_term:g} of the EIR approximation "
             f"leaves the normal float range")
     if density <= _SPARSE_APPROXIMATION:
-        _warn_sparse_approximation(f"{density:g}", stacklevel=3)
-    log_eir = (math.log(alpha - 2.0)
-               + (alpha - 2.0) * math.log(2.0)
-               + density * TYPE1_GROWTH_EXPONENT
-               - math.log(tangent_term))
-    hole = 1.0 / (alpha - 2.0)  # the radial integral from delta = 1
-    mean_poisson = _times_intensity(params, pathloss, hole)
-    mean_hardcore = _times_intensity(params, pathloss, hole, log_eir)
-    return _report(mean_hardcore, mean_poisson, EirMethod.APPROXIMATION, log_eir)
+        _warn_sparse_approximation(f"{density:g}", stacklevel=4)
+    return (math.log(alpha - 2.0)
+            + (alpha - 2.0) * math.log(2.0)
+            + density * TYPE1_GROWTH_EXPONENT
+            - math.log(tangent_term))
 
 
 def eir_type2_bound(alpha: float | None = None) -> float:

@@ -12,12 +12,14 @@ import warnings
 import pytest
 
 from matern_interference import __version__
+from matern_interference.analytic import affine_v_bounds
 from matern_interference.cli import main
 from matern_interference.errors import ToleranceError
 from matern_interference.interference import (
     NU_TYPE2_UNIVERSAL,
+    EirMethod,
     eir,
-    eir_type1_approximation,
+    eir_affine_bound,
     eir_type2_bound,
     mean_interference_quadrature,
 )
@@ -426,12 +428,32 @@ def test_subnormal_type1_means_are_the_nearest_double(capsys):
     assert float(rows[0]["mean_poisson_hole"]) == float(want)  # 2.5e-323
 
 
-def test_bounds_past_float_range_exits_2(capsys):
+# mpmath (scripts/make_oracles.py, affine_eir_db): the affine-bound type I
+# EIR in dB at lambda_p = 10, delta = 8, alpha = 3, lower and upper, where
+# the upper one overflows a float
+BOUNDS_DENSE_T1_D8_A3_L10_DB = (3069.142164058503, 3385.268652536311)
+
+
+def test_bounds_past_the_linear_float_range_match_oracle(capsys):
+    # JSON, whose values keep every bit
     code, out, err = run_cli(capsys, "bounds", "--lambda-p", "10",
-                             "--delta", "8", "--alpha", "3")
+                             "--delta", "8", "--alpha", "3", "--format", "json")
+    assert code == 0, err
+    by_name = {r["quantity"]: r["value"] for r in json.loads(out.split("\n", 1)[1])}
+    low_db, high_db = BOUNDS_DENSE_T1_D8_A3_L10_DB
+    assert by_name["eir_lower_db"] == pytest.approx(low_db, rel=1e-12)
+    assert by_name["eir_upper_db"] == pytest.approx(high_db, rel=1e-12)
+    assert by_name["eir_upper_linear"] == math.inf
+
+
+def test_bounds_past_the_closed_form_float_range_exits_2(capsys):
+    # e^x Gamma(-2, x) at x = 1e150*b underflows, so the scaled closed form
+    # of the transition integral is no float
+    code, out, err = run_cli(capsys, "bounds", "--lambda-p", "1e150",
+                             "--delta", "1", "--alpha", "4")
     assert code == 2
     assert out == ""
-    assert "overflows a float" in err
+    assert "float range" in err
     assert "Traceback" not in err
 
 
@@ -510,6 +532,7 @@ def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, tmp_path, caps
     rows = json.loads(text.split("\n", 1)[1])
     p = header["params"]
     pathloss = PowerLawPathLoss(p["alpha"], p["r0"])
+    lower_on_v, upper_on_v = affine_v_bounds()
     for row in rows:
         assert all(math.isfinite(v) for v in row.values()), row
         ref, delta = row["poisson_hole"], row["delta"]
@@ -517,7 +540,11 @@ def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, tmp_path, caps
         params2 = HardCoreParams(p["lambda_p"], delta, ProcessKind.MATERN_II)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            approx = eir_type1_approximation(params1, p["alpha"])
+            approx = eir(params1, pathloss, EirMethod.APPROXIMATION)
+        assert row["matern1_lower"] == (
+            ref * eir_affine_bound(params1, pathloss, upper_on_v).eir_linear)
+        assert row["matern1_upper"] == (
+            ref * eir_affine_bound(params1, pathloss, lower_on_v).eir_linear)
         assert row["matern1_quadrature"] == ref * eir(params1, pathloss).eir_linear
         assert row["matern2_quadrature"] == ref * eir(params2, pathloss).eir_linear
         assert row["matern1_approximation"] == ref * approx.eir_linear
@@ -856,7 +883,7 @@ def test_eir_where_lambda_p_delta_squared_underflows(capsys):
 
 # Every analytic command over a grid of parameters from 1e-300 to 1e300,
 # run in one limited child: each run exits 0 or 2 (a named reason), never 1
-# with a traceback.
+# with a traceback, and prints no nan below its manifest line.
 _GRID_VALUES = ["1e-300", "1e-30", "1", "1e30", "1e300"]
 _GRID_KINDS = ["matern1", "matern2", "poisson"]
 _GRID_CHILD = _LIMIT_ADDRESS_SPACE + (
@@ -870,8 +897,11 @@ _GRID_CHILD = _LIMIT_ADDRESS_SPACE + (
     "            code = main(argv)\n"
     "        except Exception:\n"
     "            code, err = 1, io.StringIO(traceback.format_exc())\n"
+    "    rows = out.getvalue().split('\\n', 1)[-1]\n"
     "    if code not in (0, 2) or 'Traceback' in err.getvalue():\n"
     "        failures.append([argv, code, err.getvalue()])\n"
+    "    elif 'nan' in rows:\n"
+    "        failures.append([argv, code, 'nan in the rows: ' + rows])\n"
     "print(json.dumps(failures))\n"
 )
 

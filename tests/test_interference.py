@@ -21,10 +21,9 @@ from matern_interference.interference import (
     NU_TYPE2_UNIVERSAL,
     TYPE1_GROWTH_EXPONENT,
     eir,
-    eir_type1_approximation,
+    eir_affine_bound,
     eir_type2_bound,
     h_bound,
-    h_bound_over_tail,
     h_integral,
     interference_outside_2delta,
     mean_interference_inside_2delta,
@@ -263,30 +262,34 @@ def test_h_bound_tabulated_route_matches_power_law():
 
 @pytest.mark.parametrize("lam, delta", [(0.5, 0.5), (2.0, 1.0), (2.0, 2.0),
                                         (3.0, 8.0)])
-def test_h_bound_over_tail_is_the_ratio_of_the_means(lam, delta):
+def test_eir_affine_bound_is_the_ratio_of_the_means(lam, delta):
     # where lambda is a normal float the two means can be divided directly
     params = HardCoreParams(lam, delta, ProcessKind.MATERN_I)
     for pathloss in (PL3, PowerLawPathLoss(4.0), PowerLawPathLoss(2.5, r0=0.1)):
         outside = interference_outside_2delta(params, pathloss)
+        scale = 2.0 ** (pathloss.alpha - 2.0)
         for line in affine_v_bounds():
-            want = h_bound(params, pathloss, line) / outside
-            got = h_bound_over_tail(params, pathloss, line)
+            want = (h_bound(params, pathloss, line) / outside + 1.0) / scale
+            got = eir_affine_bound(params, pathloss, line).eir_linear
             assert got == pytest.approx(want, rel=1e-11)
 
 
-def test_h_bound_over_tail_dense_and_past_float_range():
+def test_eir_affine_bound_dense_and_refusals():
     chord, tangent = affine_v_bounds()
     # lambda_p*pi*delta^2 = 764: lambda, and so the tail mean, is zero
     dense = HardCoreParams(3.8, 8.0, ProcessKind.MATERN_I)
     assert interference_outside_2delta(dense, PL3) == 0.0
-    assert math.isfinite(h_bound_over_tail(dense, PL3, chord))
-    with pytest.raises(ValidationError, match="overflows a float"):
-        h_bound_over_tail(HardCoreParams(10.0, 8.0, ProcessKind.MATERN_I), PL3, chord)
+    assert math.isfinite(eir_affine_bound(dense, PL3, chord).eir_linear)
+    # lambda_p*delta^2 = 640: the linear EIR overflows, its decibels do not
+    denser = eir_affine_bound(HardCoreParams(10.0, 8.0, ProcessKind.MATERN_I),
+                              PL3, chord)
+    assert denser.eir_linear == math.inf
+    assert math.isfinite(denser.eir_db)
     with pytest.raises(ValidationError):
-        h_bound_over_tail(T2_21, PL3, tangent)
+        eir_affine_bound(T2_21, PL3, tangent)
     tab = TabulatedPathLoss((0.5, 4.0), (1.0, 0.0))
     with pytest.raises(UnsupportedMethodError):
-        h_bound_over_tail(T1_21, tab, tangent)
+        eir_affine_bound(T1_21, tab, tangent)
 
 
 def test_h_bound_requires_hard_core():
@@ -356,7 +359,6 @@ def test_eir_tabulated_direct_ratio_within_type2_cap():
     r = [0.25 * i for i in range(41)]  # support out to r = 10
     tab = TabulatedPathLoss(r, [(1.0 + rr * rr) ** -1.5 for rr in r])
     report = eir(T2_21, tab)
-    assert report.method is EirMethod.QUADRATURE
     assert 1.0 - 1e-9 <= report.eir_linear <= NU * (1 + 1e-9)
     direct = (mean_interference_quadrature(T2_21, tab)
               / mean_interference_poisson_hole(T2_21, tab))
@@ -488,12 +490,12 @@ def test_power_law_values_are_those_at_delta_one(kind, log_delta, c, alpha, cuto
     if kind is ProcessKind.MATERN_I:
         for line in affine_v_bounds():
             try:
-                want = h_bound_over_tail(unit, unit_loss, line)
+                want = eir_affine_bound(unit, unit_loss, line).eir_db
             except ValidationError:  # past the float range at either scale
-                with pytest.raises(ValidationError, match="overflows a float"):
-                    h_bound_over_tail(params, pathloss, line)
+                with pytest.raises(ValidationError, match="float range"):
+                    eir_affine_bound(params, pathloss, line)
             else:
-                assert h_bound_over_tail(params, pathloss, line) == want
+                assert eir_affine_bound(params, pathloss, line).eir_db == want
 
 
 def test_inside_2delta_tabulated_knots_exact():
@@ -512,12 +514,8 @@ def test_inside_2delta_tabulated_knots_exact():
 def test_eir_approximation_frozen_value():
     params = HardCoreParams(2.0, 2.0, ProcessKind.MATERN_I)
     report = eir(params, PL3, EirMethod.APPROXIMATION)
-    assert report.method is EirMethod.APPROXIMATION
     assert report.eir_linear == pytest.approx(EIR_APPROX_22_A3, rel=1e-12)
     assert report.eir_db == pytest.approx(EIR_APPROX_22_A3_DB, rel=1e-12)
-    direct = eir_type1_approximation(params, 3.0)
-    assert direct.eir_linear == report.eir_linear
-    assert direct.eir_db == report.eir_db
 
 
 def test_eir_approximation_close_to_quadrature_when_dense():
@@ -530,20 +528,21 @@ def test_eir_approximation_close_to_quadrature_when_dense():
 def test_eir_approximation_warns_when_sparse():
     params = HardCoreParams(1.0, 1.0, ProcessKind.MATERN_I)
     with pytest.warns(UserWarning, match="inaccurate"):
-        eir_type1_approximation(params, 3.0)
+        eir(params, PL3, EirMethod.APPROXIMATION)
 
 
 def test_eir_approximation_refuses_products_past_the_float_range():
     # lambda_p*b*delta^2 underflows
     with pytest.raises(ValidationError, match="leaves the normal float range"):
-        eir_type1_approximation(HardCoreParams(1e-300, 1e-30, ProcessKind.MATERN_I), 2.5)
+        eir(HardCoreParams(1e-300, 1e-30, ProcessKind.MATERN_I), PowerLawPathLoss(2.5),
+            EirMethod.APPROXIMATION)
     # delta^(2 - alpha) = 1e400 overflows, and with it the means, but the
     # ratio is the one at delta = 1
     with pytest.warns(UserWarning, match="inaccurate"):
-        got = eir_type1_approximation(HardCoreParams(1e199, 1e-100, ProcessKind.MATERN_I),
-                                      6.0)
-        want = eir_type1_approximation(
-            HardCoreParams(1e199 * 1e-100 * 1e-100, 1.0, ProcessKind.MATERN_I), 6.0)
+        got = eir(HardCoreParams(1e199, 1e-100, ProcessKind.MATERN_I),
+                  PowerLawPathLoss(6.0), EirMethod.APPROXIMATION)
+        want = eir(HardCoreParams(1e199 * 1e-100 * 1e-100, 1.0, ProcessKind.MATERN_I),
+                   PowerLawPathLoss(6.0), EirMethod.APPROXIMATION)
     assert got.eir_db == want.eir_db
     assert got.mean_poisson_hole == got.mean_hardcore == math.inf
 
@@ -552,7 +551,7 @@ def test_eir_approximation_survives_extreme_density():
     # the linear ratio overflows but the decibel value stays finite because
     # the logarithm is formed first
     params = HardCoreParams(4.0, 20.0, ProcessKind.MATERN_I)
-    report = eir_type1_approximation(params, 3.0)
+    report = eir(params, PL3, EirMethod.APPROXIMATION)
     assert math.isinf(report.eir_linear)
     assert math.isfinite(report.eir_db)
     want_db = 10.0 / math.log(10.0) * (
@@ -596,7 +595,6 @@ def test_type2_sharpened_cap_shape():
 
 def test_eir_upper_bound_method():
     report = eir(T2_21, PL3, EirMethod.UPPER_BOUND)
-    assert report.method is EirMethod.UPPER_BOUND
     assert report.eir_linear == pytest.approx(NU_SHARP[3.0], rel=1e-14)
     # tabulated loss falls back to the universal constant
     r = [0.5 * i for i in range(17)]
@@ -612,8 +610,6 @@ def test_eir_method_kind_mismatches_rejected():
         eir(T1_21, PL3, EirMethod.UPPER_BOUND)
     with pytest.raises(UnsupportedMethodError):
         eir(T2_21, PL3, EirMethod.APPROXIMATION)
-    with pytest.raises(UnsupportedMethodError):
-        eir_type1_approximation(T2_21, 3.0)
     r = [0.5 * i for i in range(17)]
     tab = TabulatedPathLoss(r, [(1.0 + rr) ** -3.0 for rr in r])
     with pytest.raises(UnsupportedMethodError):
@@ -623,11 +619,11 @@ def test_eir_method_kind_mismatches_rejected():
 def test_eir_report_checks_db_consistency():
     db = 10.0 * math.log10(2.0)
     report = EirReport(mean_hardcore=2.0, mean_poisson_hole=1.0,
-                       eir_linear=2.0, eir_db=db, method=EirMethod.QUADRATURE)
+                       eir_linear=2.0, eir_db=db)
     assert report.eir_db == db
     with pytest.raises(ValidationError):
         EirReport(mean_hardcore=2.0, mean_poisson_hole=1.0, eir_linear=2.0,
-                  eir_db=3.2, method=EirMethod.QUADRATURE)
+                  eir_db=3.2)
 
 
 @pytest.mark.parametrize("lam_p", [1e170, 1e300])
