@@ -16,11 +16,13 @@ Every transition integral integrates one closure per process kind, built
 by ``_k_prime(params, loss=None)``: K'(r) times the path loss on
 [delta, 2*delta), where no loss is the unit loss. ``k_function`` integrates
 it without a loss and ``interference`` with one. The factory computes the
-per-parameter constants once and the closure evaluates a node in one frame;
-the pointwise ``v_union``, ``pair_retention_type2`` and ``k_derivative`` are
-the public references it equals bit for bit. The closure guards neither end
-of the interval: ``k_derivative`` answers outside it, and both public
-entry points turn a float overflow into a validation error.
+per-parameter constants once and the closure evaluates a node in one frame,
+a power-law loss included (only a table is called per node); the pointwise
+``v_union``, ``pair_retention_type2``, ``k_derivative`` and
+``PowerLawPathLoss`` are the public references it equals bit for bit. The
+closure guards neither end of the interval: ``k_derivative`` answers
+outside it, and both public entry points turn a float overflow into a
+validation error.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .models import HardCoreParams, ProcessKind, intensity
+from .models import HardCoreParams, PowerLawPathLoss, ProcessKind, intensity
 from .numerics import integrate
 
 __all__ = [
@@ -185,14 +187,16 @@ def _k_prime(params: HardCoreParams, loss=None):
     closure(r) * e^P. Requires delta > 0.
 
     Every per-parameter constant is computed here once, and the closure
-    evaluates a node in a single frame: the union area (``v_union``) and the
-    type II retention (``pair_retention_type2``) are written inline with
-    their operations in their order, so each value without a loss equals
-    that of the pointwise ``k_derivative`` bit for bit. The closure tests
-    neither end of the interval: ``k_derivative`` answers below delta and
-    from 2*delta on itself, and ``k_function`` integrates strictly inside;
-    both map an overflow to a validation error. With a loss the type I
-    closure is scaled by its peak at r = delta, to
+    evaluates a node in a single frame: the union area (``v_union``), the
+    type II retention (``pair_retention_type2``) and a power-law loss
+    (``PowerLawPathLoss``, whose r0 <= delta) are written inline with their
+    operations in their order, so each value without a loss equals that of
+    the pointwise ``k_derivative`` bit for bit, and each value with one that
+    of the pointwise chain. Only a table loss is called per node. The
+    closure tests neither end of the interval: ``k_derivative`` answers
+    below delta and from 2*delta on itself, and ``k_function`` integrates
+    strictly inside; both map an overflow to a validation error. With a
+    loss the type I closure is scaled by its peak at r = delta, to
     exp(lambda_p*(V(delta) - V(r))) with V(delta) in the closure's own
     operation order, and P = lambda_p*(2*pi*delta^2 - V(delta)), so nothing
     overflows at any density; P is 0 otherwise. A type II kernel whose
@@ -212,9 +216,19 @@ def _k_prime(params: HardCoreParams, loss=None):
     d2 = delta * delta
     disk_pair = two_pi * d2
     two_d2 = 2.0 * d2
+    # The loss factor of a node is r ** power, unless the loss is a table.
+    # No loss is power 0.0, so the factor is 1.0; a power law is evaluated
+    # here, as r ** -alpha, which on [delta, 2*delta) is PowerLawPathLoss's
+    # max(r0, r) ** -alpha bit for bit, since its r0 <= delta.
+    power, table = 0.0, None
+    if isinstance(loss, PowerLawPathLoss):
+        power = -loss.alpha
+    elif loss is not None:
+        table = loss
 
     if kind is ProcessKind.POISSON_HOLE:
-        return (lambda r: two_pi * (1.0 if loss is None else float(loss(r))) * r), 0.0
+        return (lambda r: two_pi * (r ** power if table is None else float(table(r)))
+                * r), 0.0
 
     if kind is ProcessKind.MATERN_I:
         # (lambda_p/lambda)^2 * k(r) folded into one exponent,
@@ -232,7 +246,7 @@ def _k_prime(params: HardCoreParams, loss=None):
                 v = disk_pair
             else:
                 v = disk_pair - two_d2 * acos(r / two_delta) + r * sqrt(d2 - 0.25 * r * r)
-            return (two_pi * (1.0 if loss is None else float(loss(r))) * r
+            return (two_pi * (r ** power if table is None else float(table(r))) * r
                     * exp(lam_p * (ref - v)))
         return k_prime, lam_p * (two_disks - ref)
 
@@ -269,7 +283,8 @@ def _k_prime(params: HardCoreParams, loss=None):
             else:
                 p = ((2.0 * v * retain_x - two_area * (-expm1(-y)))
                      / (den_scale * v * (v - area_disk)))
-        return two_pi * (1.0 if loss is None else float(loss(r))) * r * p / ratio_sq
+        return (two_pi * (r ** power if table is None else float(table(r))) * r
+                * p / ratio_sq)
     return k_prime, 0.0
 
 

@@ -32,6 +32,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime, affine_v_bounds
 # No integrand here calls these two any more. The benchmark's tracer
@@ -68,6 +69,7 @@ __all__ = [
 ]
 
 _LOG10_E10 = 10.0 * math.log10(math.e)  # multiplies a natural log into decibels
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 #: Universal cap on the type II excess interference ratio, valid for every
 #: integrable radial path loss: 12*pi / (8*pi + 3*sqrt(3)) < 5/4.
@@ -103,42 +105,60 @@ class EirReport:
                 raise ValidationError("eir_db does not match eir_linear")
 
 
-def _at_unit_delta(params: HardCoreParams,
-                   pathloss: PathLossModel) -> tuple[HardCoreParams, PathLossModel]:
+class _Unit(NamedTuple):
+    """A call's process and path loss at the scale its integrals are taken
+    at (``_at_unit_delta``). The first three fields are HardCoreParams',
+    which are all that ``analytic._k_prime`` and ``intensity`` read, so the
+    frame stands in for the process there without a second validation."""
+
+    lambda_p: float
+    delta: float
+    kind: ProcessKind
+    loss: PathLossModel
+    # delta^(2 - alpha), the factor every mean carries back to the caller's
+    # delta (inf where it leaves the float range), or None where the frame
+    # is the caller's own
+    scale: float | None
+
+
+def _at_unit_delta(params: HardCoreParams, pathloss: PathLossModel) -> _Unit:
     """For a power law at delta > 0, the same kind at delta = 1, parent
     intensity c = lambda_p*delta*delta (at least the smallest normal float,
-    where the kernel is Poisson to rounding) and cutoff r0/delta <= 1; a
-    table, with its own length scale, or delta = 0 comes back as is."""
+    where the kernel is Poisson to rounding), cutoff r0/delta <= 1 and the
+    scale delta^(2 - alpha), formed once per public call; a table, with its
+    own length scale, or delta = 0 comes back as is."""
     delta = params.delta
     if not isinstance(pathloss, PowerLawPathLoss) or delta == 0.0:
-        return params, pathloss
+        return _Unit(params.lambda_p, delta, params.kind, pathloss, None)
     if pathloss.r0 > delta:
         raise ValidationError(
             f"path loss inner cutoff r0={pathloss.r0} exceeds the "
             f"hard-core distance delta={delta}")
-    c = max(params.lambda_p * delta * delta, sys.float_info.min)
-    return (HardCoreParams(c, 1.0, params.kind), pathloss if pathloss.r0 == 0.0
+    c = max(params.lambda_p * delta * delta, _FLOAT_MIN)
+    loss = (pathloss if pathloss.r0 == 0.0
             else PowerLawPathLoss(pathloss.alpha, pathloss.r0 / delta))
+    scale = None
+    if delta != 1.0:  # delta^(2 - alpha), or inf where it leaves the float range
+        p = 2.0 - pathloss.alpha
+        scale = delta ** p if abs(p * math.log(delta)) < 708.0 else math.inf
+    return _Unit(c, 1.0, params.kind, loss, scale)
 
 
-def _mean(params: HardCoreParams, pathloss: PathLossModel, value: float,
+def _mean(params: HardCoreParams, unit: _Unit, value: float,
           factors: tuple[float, ...], exponents: tuple[float, ...]) -> float:
-    """e^sum(exponents) * prod(factors) * value, times delta^(2 - alpha) for a
-    power law at delta > 0: a mean from its lambda-free ``value`` (``_at_unit_delta``).
-    The plain product where each partial product is a normal float, else taken
-    in decimal: 0 below the float range, inf above it, never nan."""
+    """e^sum(exponents) * prod(factors) * value, times the frame's scale
+    delta^(2 - alpha): a mean from its lambda-free ``value`` at ``unit``'s
+    scale. The plain product where each partial product is a normal float,
+    else taken in decimal: 0 below the float range, inf above it, never nan."""
     if value == 0.0 or 0.0 in factors:
         return 0.0
-    delta = params.delta
-    rescale = isinstance(pathloss, PowerLawPathLoss) and delta not in (0.0, 1.0)
     terms = [math.exp(x) if x < 709 else math.inf for x in exponents] + [*factors, value]
-    if rescale:  # delta^(2 - alpha), or inf where it leaves the float range
-        p = 2.0 - pathloss.alpha
-        terms.append(delta ** p if abs(p * math.log(delta)) < 708.0 else math.inf)
+    if unit.scale is not None:
+        terms.append(unit.scale)
     mean = 1.0
     for term in terms:
         mean *= term
-        if not sys.float_info.min <= mean < math.inf:
+        if not _FLOAT_MIN <= mean < math.inf:
             break
     else:
         return mean
@@ -147,8 +167,8 @@ def _mean(params: HardCoreParams, pathloss: PathLossModel, value: float,
     with localcontext() as ctx:
         ctx.prec, ctx.traps[Overflow] = 40, False
         log_scale = sum(map(Decimal, exponents), Decimal(0))
-        if rescale:
-            log_scale += (2 - Decimal(pathloss.alpha)) * Decimal(delta).ln()
+        if unit.scale is not None:
+            log_scale += (2 - Decimal(unit.loss.alpha)) * Decimal(params.delta).ln()
         return float(math.prod(map(Decimal, (*factors, value)), start=log_scale.exp()))
 
 
@@ -176,8 +196,7 @@ _FIRST_NODE_REACH = 1.0 - (0.5 * (1.0 + _QK21[0][0])) ** 2
 _LAYER_ONSET = 1.0 / (math.sqrt(3.0) * _FIRST_NODE_REACH)
 
 
-def _transition_integral(params: HardCoreParams,
-                         pathloss: PathLossModel) -> tuple[float, float]:
+def _transition_integral(unit: _Unit) -> tuple[float, float]:
     """(I~, P) for the lambda-free integral I = I~ * e^P of the path loss
     against K'(r) over [delta, 2*delta), so that the annulus' mean
     interference is lambda * I. Requires delta > 0.
@@ -189,43 +208,42 @@ def _transition_integral(params: HardCoreParams,
     table: a power law comes at delta = 1), the absolute tolerance is taken
     in units of it, so that the relative one holds for a steep table too.
     """
-    delta = params.delta
-    kernel, log_peak = _k_prime(params, pathloss)
-    unit = 2.0 * math.pi * float(pathloss(delta)) * delta * delta
-    if unit == 0.0:
+    delta, pathloss = unit.delta, unit.loss
+    kernel, log_peak = _k_prime(unit, pathloss)
+    size = 2.0 * math.pi * float(pathloss(delta)) * delta * delta
+    if size == 0.0:
         return 0.0, log_peak  # a nonincreasing table vanishes on the annulus
-    if unit == math.inf:
+    if size == math.inf:
         raise ValidationError(
-            f"2*pi*loss(delta)*delta^2 = {unit:g} leaves the float range "
+            f"2*pi*loss(delta)*delta^2 = {size:g} leaves the float range "
             f"at delta = {delta:g}")
     knots = _table_knots(pathloss, delta)
-    if (params.kind is ProcessKind.MATERN_I
-            and params.lambda_p * delta * delta > _LAYER_ONSET):
+    if (unit.kind is ProcessKind.MATERN_I
+            and unit.lambda_p * delta * delta > _LAYER_ONSET):
         # The scaled kernel falls from r = delta like exp(-(r - delta)/w).
         # A layer that ends short of the first node is invisible to the
         # rule, which then reports convergence far from the value, so it
         # is cut at delta + 4^k*w: through 64w, which leaves e^-64 of it
         # beyond the last knot, and on while 4^k*w is below the reach.
-        w = 1.0 / (math.sqrt(3.0) * params.lambda_p * delta)
+        w = 1.0 / (math.sqrt(3.0) * unit.lambda_p * delta)
         knots += [delta + w * 4.0**k for k in range(4)]
         w *= 256.0
         while w < _FIRST_NODE_REACH * delta:
             knots.append(delta + w)
             w *= 4.0
     result = integrate(*_in_s(kernel, delta, 2.0 * delta, knots),
-                       abs_tol=_ABS_TOL * min(unit, 1.0))
+                       abs_tol=_ABS_TOL * min(size, 1.0))
     result.require("transition-annulus interference integral")
     return result.value, log_peak
 
 
-def _annulus_mean(params: HardCoreParams, pathloss: PathLossModel,
-                  scaled: float) -> float:
+def _annulus_mean(params: HardCoreParams, unit: _Unit, scaled: float) -> float:
     """lambda * e^P * I~ (``_transition_integral``), where for type I the
     exponent of lambda * e^P, lambda_p*delta^2*(pi - C2_LENS), is < 0."""
     if params.kind is not ProcessKind.MATERN_I:
-        return _mean(params, pathloss, scaled, (intensity(params),), ())
+        return _mean(params, unit, scaled, (intensity(params),), ())
     lam_p, delta = params.lambda_p, params.delta
-    return _mean(params, pathloss, scaled, (lam_p,),
+    return _mean(params, unit, scaled, (lam_p,),
                  (lam_p * delta * delta * (math.pi - C2_LENS),))
 
 
@@ -236,19 +254,19 @@ def mean_interference_inside_2delta(params: HardCoreParams,
     correlation. Zero when delta = 0."""
     if params.delta == 0.0:
         return 0.0
-    unit, unit_loss = _at_unit_delta(params, pathloss)
-    return _annulus_mean(params, pathloss, _transition_integral(unit, unit_loss)[0])
+    unit = _at_unit_delta(params, pathloss)
+    return _annulus_mean(params, unit, _transition_integral(unit)[0])
 
 
-def _times_intensity(params: HardCoreParams, pathloss: PathLossModel,
-                     value: float, log_eir: float = 0.0) -> float:
+def _times_intensity(params: HardCoreParams, unit: _Unit, value: float,
+                     log_eir: float = 0.0) -> float:
     """2*pi * lambda * e^log_eir * value (``_mean``), where a type I lambda
     is lambda_p * e^-x with x = (lambda_p*delta*delta)*pi, as at delta = 1."""
     lam_p, delta = params.lambda_p, params.delta
     if params.kind is ProcessKind.MATERN_I:
-        return _mean(params, pathloss, value, (lam_p, 2.0 * math.pi),
+        return _mean(params, unit, value, (lam_p, 2.0 * math.pi),
                      (-lam_p * delta * delta * math.pi, log_eir))
-    return _mean(params, pathloss, value, (intensity(params), 2.0 * math.pi), (log_eir,))
+    return _mean(params, unit, value, (intensity(params), 2.0 * math.pi), (log_eir,))
 
 
 def interference_outside_2delta(params: HardCoreParams,
@@ -258,9 +276,9 @@ def interference_outside_2delta(params: HardCoreParams,
     for the power law, exact piecewise integral for tabulated loss."""
     if params.delta <= 0:
         raise ValidationError("interference_outside_2delta requires delta > 0")
-    unit, unit_loss = _at_unit_delta(params, pathloss)
+    unit = _at_unit_delta(params, pathloss)
     return _times_intensity(
-        params, pathloss, unit_loss.radial_integral(2.0 * unit.delta, math.inf))
+        params, unit, unit.loss.radial_integral(2.0 * unit.delta, math.inf))
 
 
 def mean_interference_quadrature(params: HardCoreParams,
@@ -284,9 +302,9 @@ def mean_interference_poisson_hole(params: HardCoreParams,
     intensity matches the (thinned) process, observed outside a hole of
     radius delta. Closed form 2*pi*lambda*delta^(2-alpha)/(alpha-2) for a
     power law with cutoff below delta."""
-    unit, unit_loss = _at_unit_delta(params, pathloss)
-    return _times_intensity(params, pathloss,
-                            unit_loss.radial_integral(unit.delta, math.inf))
+    unit = _at_unit_delta(params, pathloss)
+    return _times_intensity(params, unit,
+                            unit.loss.radial_integral(unit.delta, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -338,17 +356,17 @@ def h_bound(params: HardCoreParams, pathloss: PathLossModel,
     """
     if params.delta <= 0:
         raise ValidationError("h_bound requires delta > 0")
-    unit, unit_loss = _at_unit_delta(params, pathloss)
-    lam_p, delta = unit.lambda_p, unit.delta
+    unit = _at_unit_delta(params, pathloss)
+    lam_p, delta, loss = unit.lambda_p, unit.delta, unit.loss
     rate = lam_p * bound.b * delta  # of the closed forms' exp(-rate*r)
-    if isinstance(unit_loss, PowerLawPathLoss):
-        value = h_integral(rate, delta, unit_loss.alpha)
+    if isinstance(loss, PowerLawPathLoss):
+        value = h_integral(rate, delta, loss.alpha)
     else:
-        result = integrate(lambda r: float(unit_loss(r)) * r * math.exp(-rate * r),
-                           delta, 2.0 * delta, _table_knots(unit_loss, delta))
+        result = integrate(lambda r: float(loss(r)) * r * math.exp(-rate * r),
+                           delta, 2.0 * delta, _table_knots(loss, delta))
         result.require("affine-bound interference integral")
         value = result.value
-    return _mean(params, pathloss, value, (2.0 * math.pi, params.lambda_p),
+    return _mean(params, unit, value, (2.0 * math.pi, params.lambda_p),
                  (-lam_p * bound.a * delta * delta,))
 
 
@@ -371,8 +389,8 @@ def eir_affine_bound(params: HardCoreParams, pathloss: PathLossModel,
             "the closed-form affine-bound EIR requires power-law path loss")
     if params.delta <= 0:
         raise ValidationError("the affine-bound EIR requires delta > 0")
-    unit, unit_loss = _at_unit_delta(params, pathloss)
-    c, alpha = unit.lambda_p, unit_loss.alpha
+    unit = _at_unit_delta(params, pathloss)
+    c, alpha = unit.lambda_p, unit.loss.alpha
     power, _, gammas = _h_integral_parts(c * bound.b, 1.0, alpha)
     scaled = power * gammas
     if not 0.0 < scaled < math.inf:
@@ -380,12 +398,12 @@ def eir_affine_bound(params: HardCoreParams, pathloss: PathLossModel,
             "the scaled affine-bound transition integral leaves the float "
             f"range at lambda_p*delta^2 = {c:g}")
     log_t = (c * (math.pi - bound.a - bound.b)
-             + math.log(scaled / unit_loss.radial_integral(2.0, math.inf)))
+             + math.log(scaled / unit.loss.radial_integral(2.0, math.inf)))
     # ln(t + 1) = max(ln t, 0) + log1p(e^-|ln t|)
     log_eir = (max(log_t, 0.0) + math.log1p(math.exp(-abs(log_t)))
                - (alpha - 2.0) * math.log(2.0))
-    return _closed_form_report(params, pathloss,
-                               unit_loss.radial_integral(1.0, math.inf), log_eir)
+    return _closed_form_report(params, unit,
+                               unit.loss.radial_integral(1.0, math.inf), log_eir)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +418,12 @@ def _report(mean_hardcore: float, mean_poisson: float, log_eir: float) -> EirRep
                      eir_linear=_exp(log_eir), eir_db=_LOG10_E10 * log_eir)
 
 
-def _closed_form_report(params: HardCoreParams, pathloss: PathLossModel,
+def _closed_form_report(params: HardCoreParams, unit: _Unit,
                         hole: float, log_eir: float) -> EirReport:
     """The report of a closed-form EIR e^log_eir: the Poisson-hole mean from
     its lambda-free ``hole`` integral, and e^log_eir times it."""
-    return _report(_times_intensity(params, pathloss, hole, log_eir),
-                   _times_intensity(params, pathloss, hole), log_eir)
+    return _report(_times_intensity(params, unit, hole, log_eir),
+                   _times_intensity(params, unit, hole), log_eir)
 
 
 def eir(params: HardCoreParams, pathloss: PathLossModel,
@@ -440,16 +458,16 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
             raise UnsupportedMethodError(
                 "the EIR approximation requires power-law path loss")
 
-    unit, unit_loss = _at_unit_delta(params, pathloss)
+    unit = _at_unit_delta(params, pathloss)
     if method is EirMethod.APPROXIMATION:
         log_eir = _approximation_log_eir(params, pathloss.alpha)
     elif method is EirMethod.UPPER_BOUND:
         log_eir = math.log(eir_type2_bound(
             pathloss.alpha if isinstance(pathloss, PowerLawPathLoss) else None))
-    hole = unit_loss.radial_integral(unit.delta, math.inf)
+    hole = unit.loss.radial_integral(unit.delta, math.inf)
     if method is not EirMethod.QUADRATURE:
-        return _closed_form_report(params, pathloss, hole, log_eir)
-    mean_poisson = _times_intensity(params, pathloss, hole)
+        return _closed_form_report(params, unit, hole, log_eir)
+    mean_poisson = _times_intensity(params, unit, hole)
     if kind is ProcessKind.POISSON_HOLE:
         return _report(mean_poisson, mean_poisson, 0.0)
     if params.delta == 0.0:
@@ -457,9 +475,9 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
         return _report(mean_hardcore, mean_poisson, 0.0)
     # both means carry the factor lambda, so the ratio is formed from
     # lambda-free integrals, with the type I peak e^P as a logarithm
-    scaled, log_peak = _transition_integral(unit, unit_loss)
+    scaled, log_peak = _transition_integral(unit)
     two_pi = 2.0 * math.pi
-    radial = unit_loss.radial_integral(2.0 * unit.delta, math.inf)
+    radial = unit.loss.radial_integral(2.0 * unit.delta, math.inf)
     total = scaled + math.exp(-log_peak) * (two_pi * radial)  # (I + outer) * e^-P
     reference = two_pi * hole
     if total == 0.0 or reference == 0.0:  # a table, as a power law is > 0
@@ -468,8 +486,8 @@ def eir(params: HardCoreParams, pathloss: PathLossModel,
             f"ends at r = {pathloss.support_end}): the EIR compares two zero means")
     log_eir = log_peak + math.log(total) - math.log(reference)
     # mean_interference_quadrature's value, bit for bit
-    mean_hardcore = (_annulus_mean(params, pathloss, scaled)
-                     + _times_intensity(params, pathloss, radial))
+    mean_hardcore = (_annulus_mean(params, unit, scaled)
+                     + _times_intensity(params, unit, radial))
     return _report(mean_hardcore, mean_poisson, log_eir)
 
 
@@ -503,7 +521,7 @@ def _approximation_log_eir(params: HardCoreParams, alpha: float) -> float:
         raise ValidationError("the EIR approximation requires delta > 0")
     density = params.lambda_p * params.delta * params.delta  # c, unclamped
     tangent_term = density * _TANGENT.b
-    if tangent_term < sys.float_info.min:
+    if tangent_term < _FLOAT_MIN:
         raise ValidationError(
             f"lambda_p*b*delta^2 = {tangent_term:g} of the EIR approximation "
             f"leaves the normal float range")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -100,7 +101,9 @@ def intensity(params: HardCoreParams) -> float:
     Type I retains a parent point only if it has no neighbour closer than the
     hard-core distance, type II resolves conflicts by marks, and the Poisson
     reference is not thinned at all. The type II expression is evaluated
-    through ``expm1`` so it stays exact as ``lambda_p * pi * delta**2 -> 0``.
+    through ``expm1`` so it stays exact as ``lambda_p * pi * delta**2 -> 0``,
+    and keeps its digits where lambda_p itself is near the float range's
+    lower end.
     """
     lam_p, d = params.lambda_p, params.delta
     if params.kind is ProcessKind.POISSON_HOLE:
@@ -110,7 +113,12 @@ def intensity(params: HardCoreParams) -> float:
         return lam_p * math.exp(-x)
     if x == 0.0:
         return lam_p
-    return lam_p * (-math.expm1(-x)) / x
+    retain = -math.expm1(-x)
+    if lam_p * retain < sys.float_info.min:
+        # lam_p*retain is subnormal or 0 (from lambda_p of about 1e-154 at
+        # delta = 1), while retain/x is about 1: divide first
+        return lam_p * (retain / x)
+    return lam_p * retain / x
 
 
 def default_window_radius(params: HardCoreParams) -> float:

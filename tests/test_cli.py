@@ -428,6 +428,22 @@ def test_subnormal_type1_means_are_the_nearest_double(capsys):
     assert float(rows[0]["mean_poisson_hole"]) == float(want)  # 2.5e-323
 
 
+def test_sparse_type2_rows_keep_lambda(capsys):
+    # at lambda_p = 1e-300 the type II lambda is lambda_p to rounding
+    # (mpmath: 1e-300 * (1 - 1.6e-300)), and both means are
+    # 2*pi*lambda/(alpha - 2), as for type I; lambda_p * (1 - e^-x)
+    # underflowed, and both rows printed 0
+    argv = ["--process", "matern2", "--lambda-p", "1e-300", "--delta", "1"]
+    code, out, err = run_cli(capsys, "intensity", *argv)
+    assert code == 0, err
+    assert csv_rows(out)[0][0]["intensity"] == "1e-300"
+    code, out, err = run_cli(capsys, "eir", *argv, "--alpha", "3")
+    assert code == 0, err
+    row = csv_rows(out)[0][0]
+    assert row["mean_hardcore"] == row["mean_poisson_hole"] == "6.28318530718e-300"
+    assert row["eir_linear"] == "1"
+
+
 # mpmath (scripts/make_oracles.py, affine_eir_db): the affine-bound type I
 # EIR in dB at lambda_p = 10, delta = 8, alpha = 3, lower and upper, where
 # the upper one overflows a float

@@ -9,6 +9,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -38,6 +39,19 @@ def test_intensity_frozen_values():
     # mpmath: (1 - exp(-x)) / (pi*delta^2)
     p2 = HardCoreParams(2.0, 0.5, ProcessKind.MATERN_II)
     assert intensity(p2) == pytest.approx(1.0085590475825801, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam_p", [1e-150, 1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
+def test_type2_intensity_keeps_its_digits_at_tiny_lambda_p(lam_p, delta):
+    # lambda_p * (1 - e^-x) is subnormal from lambda_p of about 1e-154 at
+    # delta = 1 and 0 from about 1e-170, although lambda/lambda_p is 1 to
+    # rounding; mpmath at 40 digits
+    mpmath.mp.dps = 40
+    x = mpmath.mpf(lam_p) * mpmath.pi * mpmath.mpf(delta) ** 2
+    want = float(mpmath.mpf(lam_p) * -mpmath.expm1(-x) / x)
+    got = intensity(HardCoreParams(lam_p, delta, ProcessKind.MATERN_II))
+    assert got == pytest.approx(want, rel=4e-16, abs=0.0)
 
 
 def test_intensity_poisson_reference_is_untouched():

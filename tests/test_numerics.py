@@ -10,14 +10,16 @@ hand antiderivatives, and the transition-annulus integrals against QUADPACK
 
 import json
 import math
+import random
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from matern_interference import analytic, interference
+from matern_interference import analytic, interference, numerics
 from matern_interference.errors import ToleranceError, ValidationError
 from matern_interference.models import HardCoreParams, PowerLawPathLoss, ProcessKind
 from matern_interference.numerics import (
@@ -240,6 +242,50 @@ def test_gamma_positive_and_decreasing_in_x(s, x, factor):
     assert b < a
 
 
+def _gamma_accuracy_orders():
+    """Orders in [-8, 1/2) by class, drawn with a fixed seed: exact integers,
+    orders within 1e-3 of one, orders whose downward ladder passes within
+    2e-2 of order zero, and generic orders."""
+    rng = random.Random(25)
+    return {
+        "integer": [float(n) for n in range(-8, 1)],
+        "near-integer": [rng.randint(-8, 0) + rng.choice((-1.0, 1.0))
+                         * 10.0 ** rng.uniform(-15.0, -3.0) for _ in range(10)],
+        "ladder-near-zero": [rng.randint(-8, 0) + rng.choice((-1.0, 1.0))
+                             * rng.uniform(1e-3, 2e-2) for _ in range(10)],
+        "generic": [rng.uniform(-8.0, 0.5) for _ in range(12)],
+    }
+
+
+_GAMMA_ORDERS = _gamma_accuracy_orders()
+# both sides of the order classes' edges: 1e-2 and 5e-2 from an integer,
+# where the gamma's branch map changes, and 1e-3 and 2e-2
+_GAMMA_ORDERS["class-edges"] = [
+    n + sign * math.nextafter(edge, side)
+    for n in (-8.0, -3.0, -1.0, 0.0) for sign in (-1.0, 1.0)
+    for edge in (1e-3, 1e-2, 2e-2, 5e-2) for side in (0.0, 1.0)]
+# x log-uniform in [1e-3, 50], and both sides of every branch boundary in x
+_GAMMA_X = ([math.exp(random.Random(26).uniform(math.log(1e-3), math.log(50.0)))
+             for _ in range(40)]
+            + [x for edge in (0.3, 0.8, 2.0) for x in (math.nextafter(edge, 0.0), edge)])
+
+
+@pytest.mark.parametrize("order_class", list(_GAMMA_ORDERS))
+def test_gamma_scaled_matches_mpmath_within_1e13(order_class):
+    # mpmath at 40 digits, an implementation independent of the one here
+    mpmath.mp.dps = 40
+    worst = (0.0, None)
+    for s in _GAMMA_ORDERS[order_class]:
+        if not -8.0 <= s < 0.5:
+            continue
+        for x in _GAMMA_X:
+            want = mpmath.gammainc(s, x) * mpmath.exp(x)
+            got = upper_incomplete_gamma(s, x, scaled=True)
+            rel = float(abs((mpmath.mpf(got) - want) / want))
+            worst = max(worst, (rel, (s, x)))
+    assert worst[0] <= 1e-13, worst
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
@@ -388,6 +434,54 @@ def test_grid_integrals_panel_budget(monkeypatch):
     calls = _grid_integrals(monkeypatch)
     assert len(calls) == 288
     assert sum(res.subdivisions_used for *_, res in calls) <= 397
+
+
+def test_grid_h_bounds_take_the_continued_fraction_only_past_the_ladder(monkeypatch):
+    """Both affine-bound lines over the criterion-4/5 grid evaluate their
+    incomplete gammas by the continued fraction only from each order class's
+    boundary on: x >= 2 within 1e-2 of an integer, x >= 0.8 from 5e-2 on,
+    x >= 0.3 between. Below it the downward ladder is as accurate, and the
+    fraction costs up to twenty times as much (it converges slowly at
+    small x): a deterministic stand-in for the sweep's calls per second."""
+    calls = []
+    fraction = numerics._gamma_cf_scaled
+
+    def recording(s, x):
+        calls.append((s, x))
+        return fraction(s, x)
+
+    monkeypatch.setattr(numerics, "_gamma_cf_scaled", recording)
+    lines = analytic.affine_v_bounds()
+    for lam in GRID_LAMBDA:
+        for delta in GRID_DELTA:
+            for alpha in GRID_ALPHA:
+                for line in lines:
+                    interference.h_bound(HardCoreParams(lam, delta),
+                                         PowerLawPathLoss(alpha), line)
+    assert calls
+    for s, x in calls:
+        offset = abs(s - round(s))
+        assert x >= (2.0 if offset < 1e-2 else 0.8 if offset >= 5e-2 else 0.3), (s, x)
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+@pytest.mark.parametrize("lam_p, delta, r0", [
+    (2.0, 0.5, 0.0), (0.5, 2.0, 0.3), (500.0, 1.0, 0.0), (1e-6, 1.0, 1.0)])
+def test_power_law_transition_integral_calls_the_loss_once(monkeypatch, kind,
+                                                           lam_p, delta, r0):
+    # the kernel evaluates a power law at its nodes itself; the loss is
+    # called once, at delta, for the integral's tolerance scale
+    calls = []
+    call = PowerLawPathLoss.__call__
+
+    def counting(self, r):
+        calls.append(r)
+        return call(self, r)
+
+    monkeypatch.setattr(PowerLawPathLoss, "__call__", counting)
+    params = HardCoreParams(lam_p, delta, kind)
+    interference.mean_interference_inside_2delta(params, PowerLawPathLoss(3.0, r0))
+    assert len(calls) <= 1
 
 
 _POINT = ["--lambda-p", "2", "--delta", "2", "--alpha", "3"]
