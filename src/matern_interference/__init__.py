@@ -6,7 +6,7 @@ with a Poisson process of the same intensity whose interferers simply keep
 out of a disk around the receiver, and reports the ratio of the two means,
 the excess interference ratio. Closed forms, guaranteed bounds, adaptive
 quadrature, and Palm-conditioned Monte Carlo all live behind the same small
-set of dataclasses.
+set of records.
 
 The package exports the names of the README's library quick start, the
 errors a caller catches and ``__version__``; everything else is imported

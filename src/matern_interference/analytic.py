@@ -29,10 +29,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import ValidationError
-from .models import HardCoreParams, PowerLawPathLoss, ProcessKind, intensity
+from .models import (
+    HardCoreParams,
+    PowerLawPathLoss,
+    ProcessKind,
+    _Record,
+    intensity,
+)
 from .numerics import integrate
 
 __all__ = [
@@ -76,8 +81,7 @@ def v_union(delta: float, u: float) -> float:
             + u * math.sqrt(lens_height_sq))
 
 
-@dataclass(frozen=True)
-class AffineVBound:
+class AffineVBound(_Record):
     """Affine comparison line for the union area on ``delta < r < 2*delta``.
 
     Encodes V(r) compared against ``(pi + a)*delta**2 + b*delta*r``. The
@@ -87,9 +91,6 @@ class AffineVBound:
 
     a: float
     b: float
-
-    def evaluate(self, delta: float, r: float) -> float:
-        return (math.pi + self.a) * delta * delta + self.b * delta * r
 
 
 def affine_v_bounds() -> tuple[AffineVBound, AffineVBound]:

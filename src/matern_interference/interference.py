@@ -31,7 +31,6 @@ import enum
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analytic import C2_LENS, AffineVBound, _in_s, _k_prime, affine_v_bounds
@@ -48,6 +47,7 @@ from .models import (
     ProcessKind,
     TabulatedPathLoss,
     _power,
+    _Record,
     intensity,
 )
 from .numerics import _ABS_TOL, _QK21, integrate, upper_incomplete_gamma
@@ -90,8 +90,7 @@ class EirMethod(enum.Enum):
     APPROXIMATION = "approximation"
 
 
-@dataclass(frozen=True)
-class EirReport:
+class EirReport(_Record):
     """Excess interference ratio together with the two means it compares."""
 
     mean_hardcore: float

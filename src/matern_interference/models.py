@@ -3,7 +3,8 @@
 Conventions: lengths are dimensionless model units, intensities are points
 per unit area, and interference values are linear power (path-loss
 normalized). Decibel conversion happens only at the CLI boundary. All types
-are immutable value objects and safe to share across threads.
+are immutable value objects and safe to share across threads; every record
+of the package, here and in the other modules, derives from ``_Record``.
 
 Import layering: this module imports only the standard library at module
 level, so that the analytic core (``analytic``, ``interference``,
@@ -11,9 +12,12 @@ level, so that the analytic core (``analytic``, ``interference``,
 takes close to half of a cold ``eir`` run. The scalar value types,
 ``intensity`` and ``default_window_radius`` use ``math`` alone, and
 ``PowerLawPathLoss`` evaluates a positive Python float with ``math`` too.
-Only the array-side code imports numpy (and scipy), inside the methods that
-need it: ``PowerLawPathLoss`` on any other input, ``TabulatedPathLoss``
-and ``PointPattern``.
+Only the array-side code imports numpy, inside the methods that need it:
+``PowerLawPathLoss`` on any other input, ``TabulatedPathLoss`` and
+``PointPattern``. The records do not use ``dataclasses`` either: its import
+loads ``inspect`` (with ``ast``, ``dis`` and ``tokenize``), and each frozen
+dataclass execs six generated methods, which together took about a sixth
+of a cold ``eir`` run.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ValidationError
@@ -42,6 +45,69 @@ __all__ = [
 ]
 
 
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass declares its fields as class annotations, in order, with
+    defaults as class attributes, and gets what ``dataclass(frozen=True)``
+    would give it: an ``__init__`` taking the fields (its own after those
+    of a record base), which stores them and then calls
+    ``__post_init__`` where the class has one; the dataclass ``repr``;
+    equality and hash over the field tuple, with ``NotImplemented``
+    across classes; and an ``AttributeError`` on any assignment or
+    deletion. A ``__post_init__`` that normalizes a field stores it with
+    ``object.__setattr__``. ``_fields`` names the fields.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # own annotations only (Python >= 3.10), after the inherited fields
+        fields = cls._fields + tuple(cls.__annotations__)
+        cls._fields = cls.__match_args__ = fields
+        # one positional-or-keyword __init__ per class, as dataclasses
+        # writes it: a generic *args/**kwargs one constructs 2.5x slower,
+        # and storing through self.__dict__ slows every attribute read
+        namespace = {"_set": object.__setattr__}
+        params = []
+        for name in fields:
+            if hasattr(cls, name):
+                namespace[f"_dflt_{name}"] = getattr(cls, name)
+                params.append(f"{name}=_dflt_{name}")
+            else:
+                params.append(name)
+        body = [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body),
+             namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class ProcessKind(enum.Enum):
     """Which transmitter process the parameters describe.
 
@@ -55,8 +121,7 @@ class ProcessKind(enum.Enum):
     POISSON_HOLE = "poisson"
 
 
-@dataclass(frozen=True)
-class HardCoreParams:
+class HardCoreParams(_Record):
     """Parent intensity, hard-core distance and process type.
 
     ``lambda_p`` is the intensity of the parent Poisson process before
@@ -132,8 +197,7 @@ def default_window_radius(params: HardCoreParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerLawPathLoss:
+class PowerLawPathLoss(_Record):
     """g(r) = (max{r0, r})^(-alpha).
 
     ``alpha > 2`` is required for every tail integral to converge. The inner
@@ -192,8 +256,7 @@ class PowerLawPathLoss:
         return flat + antideriv_from(r0, upper)
 
 
-@dataclass(frozen=True)
-class TabulatedPathLoss:
+class TabulatedPathLoss(_Record):
     """Path loss given as a table of (r, g(r)) samples.
 
     Linear interpolation between knots; constant extension below the first
@@ -273,8 +336,7 @@ def _power(base: float, exponent: float, name: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointPattern:
+class PointPattern(_Record):
     """A finite planar point set with optional marks and its sampling window.
 
     The window is the disk of radius ``window_radius`` centred at the origin;
@@ -313,22 +375,8 @@ class PointPattern:
 
         return np.hypot(self.points[:, 0], self.points[:, 1])
 
-    def min_pair_distance(self) -> float:
-        """Smallest pairwise distance (inf for fewer than two points).
 
-        Each point's nearest other point comes from one KD-tree query, so
-        memory stays linear in the number of points.
-        """
-        if len(self) < 2:
-            return math.inf
-        from scipy.spatial import cKDTree
-
-        dist, _ = cKDTree(self.points).query(self.points, k=2)
-        return float(dist[:, 1].min())
-
-
-@dataclass(frozen=True)
-class InterferenceEstimate:
+class InterferenceEstimate(_Record):
     """Monte Carlo mean interference with its uncertainty.
 
     ``tail_correction`` is the analytic mean added for the region beyond the

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .errors import ToleranceError, ValidationError
+from .models import _Record
 
 __all__ = [
     "QuadratureResult",
@@ -39,8 +39,7 @@ _ABS_TOL = 1e-12
 _MAX_PANELS = 200
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(_Record):
     value: float
     abs_error_estimate: float
     subdivisions_used: int

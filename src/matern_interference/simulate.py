@@ -40,7 +40,6 @@ import enum
 import math
 import os
 import struct
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional, Sequence
 
@@ -54,6 +53,7 @@ from .models import (
     PathLossModel,
     PointPattern,
     ProcessKind,
+    _Record,
     default_window_radius,
     intensity,
 )
@@ -94,8 +94,7 @@ class TailPolicy(enum.Enum):
     TRUNCATE_ONLY = "truncate-only"
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Record):
     """Window, replication and stream parameters for one Monte Carlo run.
 
     The window must reach three hard-core distances of the paired
@@ -489,8 +488,7 @@ def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PalmEnsemble:
+class PalmEnsemble(_Record):
     """Every retained in-window point across a batch of Palm replicates,
     as flat arrays grouped by replicate."""
 
@@ -672,8 +670,7 @@ def estimate_mean_interference(params: HardCoreParams, pathloss: PathLossModel,
                                                cfg.tail_policy)
 
 
-@dataclass(frozen=True)
-class KFunctionEstimate:
+class KFunctionEstimate(_Record):
     """Empirical K-function over an ensemble of Palm patterns."""
 
     radii: np.ndarray

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from matern_interference import analytic
 from matern_interference.analytic import (
     _k_prime,
-    AffineVBound,
     C2_LENS,
     affine_v_bounds,
     k2delta_lower_bound,
@@ -98,6 +97,11 @@ def test_v_union_monotone_and_smooth_at_saturation():
 # ---------------------------------------------------------------------------
 
 
+def _on_line(line, delta, r):
+    """The comparison line (pi + a)*delta^2 + b*delta*r at r."""
+    return (math.pi + line.a) * delta * delta + line.b * delta * r
+
+
 def test_affine_bound_constants_frozen():
     lower, upper = affine_v_bounds()
     assert lower.a == pytest.approx(CHORD_A, rel=1e-14)
@@ -109,9 +113,9 @@ def test_affine_bound_constants_frozen():
 def test_chord_interpolates_v_at_both_endpoints():
     lower, _ = affine_v_bounds()
     for delta in (0.25, 1.0, 3.0):
-        assert lower.evaluate(delta, delta) == pytest.approx(
+        assert _on_line(lower, delta, delta) == pytest.approx(
             v_union(delta, delta), rel=1e-13)
-        assert lower.evaluate(delta, 2.0 * delta) == pytest.approx(
+        assert _on_line(lower, delta, 2.0 * delta) == pytest.approx(
             v_union(delta, 2.0 * delta), rel=1e-13)
 
 
@@ -119,7 +123,7 @@ def test_tangent_touches_v_at_midpoint():
     _, upper = affine_v_bounds()
     for delta in (0.25, 1.0, 3.0):
         r = 1.5 * delta
-        assert upper.evaluate(delta, r) == pytest.approx(
+        assert _on_line(upper, delta, r) == pytest.approx(
             v_union(delta, r), rel=1e-13)
 
 
@@ -129,14 +133,8 @@ def test_affine_lines_sandwich_v_on_transition_interval(delta):
     for i in range(101):
         r = delta + delta * i / 100.0
         v = v_union(delta, r)
-        assert lower.evaluate(delta, r) <= v * (1 + 1e-12)
-        assert upper.evaluate(delta, r) >= v * (1 - 1e-12)
-
-
-def test_affine_bound_evaluate_formula():
-    line = AffineVBound(a=0.5, b=2.0)
-    assert line.evaluate(2.0, 3.0) == pytest.approx(
-        (math.pi + 0.5) * 4.0 + 2.0 * 2.0 * 3.0, rel=1e-14)
+        assert _on_line(lower, delta, r) <= v * (1 + 1e-12)
+        assert _on_line(upper, delta, r) >= v * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------

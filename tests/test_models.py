@@ -13,7 +13,6 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy.spatial.distance import pdist
 
 from matern_interference.errors import ValidationError
 from matern_interference.models import (
@@ -289,24 +288,10 @@ def test_point_pattern_basics():
     pat = PointPattern(points=pts, window_radius=6.0)
     assert len(pat) == 2
     assert pat.radii == pytest.approx([0.0, 5.0])
-    assert pat.min_pair_distance() == pytest.approx(5.0)
     empty = PointPattern(points=np.empty((0, 2)), window_radius=1.0)
     assert len(empty) == 0
-    assert empty.min_pair_distance() == math.inf
     single = PointPattern(points=np.array([[0.5, 0.5]]), window_radius=1.0)
-    assert single.min_pair_distance() == math.inf
-
-
-@pytest.mark.parametrize("n", [2, 3, 17, 500])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_min_pair_distance_matches_all_pairs_reference(n, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(n, 2))
-    pat = PointPattern(points=pts, window_radius=5.0)
-    assert pat.min_pair_distance() == float(pdist(pts).min())
-    # a repeated point is at distance zero
-    dup = PointPattern(points=np.vstack([pts, pts[-1]]), window_radius=5.0)
-    assert dup.min_pair_distance() == 0.0
+    assert len(single) == 1
 
 
 def test_point_pattern_validation():

@@ -513,16 +513,21 @@ _ANALYTIC_RUNS = {
                          ids=list(_ANALYTIC_RUNS))
 def test_analytic_commands_import_neither_numpy_nor_scipy(argv):
     """The analytic core runs on the standard library: a bare package
-    import and every analytic command leave numpy and scipy unloaded."""
+    import and every analytic command leave numpy and scipy unloaded, and
+    dataclasses and inspect, which the records do without."""
     script = (
         "import json, sys\n"
+        "heavy = {'numpy', 'scipy', 'dataclasses', 'inspect'}\n"
         "import matern_interference\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
         "from matern_interference.cli import main\n"
         "argv = json.loads(sys.argv[1])\n"
         "code = 0 if argv is None else main(argv)\n"
-        "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+        "print(code, sorted(heavy & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
