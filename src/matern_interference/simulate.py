@@ -5,7 +5,13 @@ pattern, ``_dead_mask`` underneath), one Palm sampler draws a replicate
 seen from a retained point at the origin (``sample_palm``), and one
 ensemble flattens many replicates (``run_palm_ensemble``); the mean
 interference, intensity and K-function estimators are reductions over that
-ensemble.
+ensemble. The rule is decided one of two ways, with the same result to the
+bit: by a KD-tree search for the pairs closer than delta (_strict_pairs),
+or, for type I Palm chunks at lambda_p*delta**2 >= 1, where almost every
+parent dies, by an exact cell test that builds no tree (_alone_in_window).
+The cell test's two margins keep it exact: two points it declares dead
+without a distance are at most 0.984*delta apart, and the cells it does
+not search are at least 1.24*delta away.
 
 Sampling is exact, not approximate: the type I Palm construction uses the
 fact that conditioning a Poisson parent on an empty exclusion ball just
@@ -74,13 +80,13 @@ __all__ = [
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _TWO_PI = 2.0 * math.pi
-# Expected parents per batched KD-tree pass (see _chunk_replicates). A
-# chunk's coordinate, tree and pair arrays grow with its parents, so a
-# budget in parents, not replicates, bounds its memory at any density and
-# window; at about 2**15 parents and beyond, every chunk also faults in
-# fresh pages for those arrays instead of reusing freed ones. With the
-# geometry formed per chunk, 2**13 runs within a few percent of 2**14's
-# speed and holds the two chunks in flight 2-5 MB lower.
+# Expected parents per thinning pass (see _chunk_replicates). A chunk's
+# coordinate, tree and pair arrays, or its cell counts, grow with its
+# parents, so a budget in parents, not replicates, bounds its memory at any
+# density and window; at about 2**15 parents and beyond, every chunk also
+# faults in fresh pages for those arrays instead of reusing freed ones.
+# With the geometry formed per chunk, 2**13 runs within a few percent of
+# 2**14's speed and holds the two chunks in flight 2-5 MB lower.
 _PARENT_BUDGET = 2**13
 # Chunks in flight at once. cKDTree and the large NumPy reductions release
 # the GIL, so a chunk's neighbour search overlaps the other chunk's search
@@ -112,9 +118,13 @@ class SimulationConfig(_Record):
     def __post_init__(self):
         if not (self.window_radius > 0 and math.isfinite(self.window_radius)):
             raise ValidationError("window_radius must be positive and finite")
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
+        # bool is an int, and True would silently run one replicate
+        if not (isinstance(self.replicates, int)
+                and not isinstance(self.replicates, bool)
+                and self.replicates >= 1):
             raise ValidationError("replicates must be an integer >= 1")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 2**64):
             raise ValidationError("seed must be an unsigned 64-bit integer")
 
 
@@ -352,6 +362,107 @@ def _dead_mask(params: HardCoreParams, points: np.ndarray,
     return dead
 
 
+# Dense type I thinning (_alone_in_window) bins points into square cells of
+# side _CELL*delta. Two points in one cell, or in cells sharing an edge, are
+# at most sqrt(5)*0.44*delta = 0.984*delta apart. Every other cell within
+# delta of a cell lies in one of the _STENCILS (40 cells); the nearest cell
+# outside them is 0.44*sqrt(8)*delta = 1.24*delta away.
+_CELL = 0.44
+
+
+def _stencil(lo: float, hi: float) -> tuple:
+    """Offsets (a, b) of the cells, other than cell (0, 0) and its edge
+    neighbours, whose gap to cell (0, 0) is in [lo, hi) squared cell
+    sides."""
+    return tuple((a, b) for b in range(-3, 4) for a in range(-3, 4)
+                 if abs(a) + abs(b) > 1
+                 and lo <= max(0, abs(a) - 1)**2 + max(0, abs(b) - 1)**2 < hi)
+
+
+# Searched nearest first, each for the points the ones before left alive:
+# the 4 diagonal cells (gap 0), the 12 one cell side away, and the 24 others
+# within delta. Against one stencil of all 36 beyond the diagonals, this
+# was 9-27 % faster at lambda_p*delta**2 = 1-2 and held up to 30 % less.
+_STENCILS = (_stencil(0, 1), _stencil(1, 2), _stencil(2, _CELL**-2))
+# lambda_p*delta**2 from which type I thinning takes _alone_in_window. From
+# 1 the cells were faster at every window tried (3, 7 and 15 delta), whole
+# two-thread ensembles 11-20 % faster, and their lead grows with density as
+# the cell test settles more points. At 0.5-0.9 the two were within 0-16 %
+# of each other, and at 0.5 the cells were sometimes slower.
+_DENSE_TYPE1 = 1.0
+
+
+def _alone_in_window(points: np.ndarray, rep_local: np.ndarray, chunk: int,
+                     radii: np.ndarray, delta: float,
+                     r_window: float) -> np.ndarray:
+    """Type I thinning's keep mask on a chunk without a tree: True for the
+    points within r_window of the origin that no other point of their
+    replicate lies strictly closer than delta to. rep_local is each point's
+    replicate's index in [0, chunk). This is ~_dead_mask(...) &
+    (radii <= r_window) bit for bit, on the same untranslated coordinates
+    and the same strict test.
+
+    Each replicate's points are binned into cells of side _CELL*delta, with
+    three empty cells around each replicate's grid, so that no stencil
+    offset reaches another replicate. A point that shares its cell or an
+    edge-adjacent one with another point is dead: the pair is at most
+    0.984*delta apart, a margin far beyond rounding in the cell indices or
+    the distance. Each remaining in-window point is tested exactly against
+    the points of the _STENCILS' cells, one stencil at a time, until one
+    kills it; points beyond 1.24*delta cannot.
+    """
+    keep = np.zeros(len(points), dtype=bool)
+    inside = np.flatnonzero(radii <= r_window)
+    if inside.size == 0:
+        return keep
+    x, y = np.ascontiguousarray(points.T)
+    side = _CELL * delta
+    ix = ((x - x.min()) / side).astype(np.intp)
+    iy = ((y - y.min()) / side).astype(np.intp)
+    nx = int(ix.max()) + 7
+    ny = int(iy.max()) + 7
+    keys = (rep_local * ny + iy + 3) * nx + ix + 3
+    counts = np.bincount(keys, minlength=chunk * nx * ny)
+    k = keys[inside]
+    near = (counts[k] + counts[k - 1] + counts[k + 1]
+            + counts[k - nx] + counts[k + nx])
+    alive = inside[near == 1]
+    if alive.size:
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        for stencil in _STENCILS:
+            offsets = np.array([a + b * nx for a, b in stencil])
+            cells = keys[alive][:, None] + offsets
+            alive = alive[~_close_in_cells(alive, cells, counts, sorted_keys,
+                                           order, x, y, delta)]
+            if alive.size == 0:
+                break
+    keep[alive] = True
+    return keep
+
+
+def _close_in_cells(points: np.ndarray, cells: np.ndarray, counts: np.ndarray,
+                    sorted_keys: np.ndarray, order: np.ndarray, x: np.ndarray,
+                    y: np.ndarray, delta: float) -> np.ndarray:
+    """True for each of the points (indices) with some point strictly
+    closer than delta in its row of cells (keys); the points of cell k are
+    order[s:s + counts[k]], where sorted_keys[s] is the first k in
+    sorted_keys = keys[order]."""
+    n = counts[cells]
+    owner, col = np.nonzero(n)
+    cells, n = cells[owner, col], n[owner, col]
+    # the m-th point of each visited cell, m < n, in one flat array
+    first = np.searchsorted(sorted_keys, cells) - (np.cumsum(n) - n)
+    owner = np.repeat(owner, n)
+    j = order[np.repeat(first, n) + np.arange(owner.size)]
+    i = points[owner]
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
+    close = np.zeros(len(points), dtype=bool)
+    close[owner[dx * dx + dy * dy < delta * delta]] = True
+    return close
+
+
 def thin(parent: PointPattern, params: HardCoreParams) -> PointPattern:
     """The process of kind params.kind obtained by thinning a parent
     pattern at hard-core distance params.delta (see _dead_mask); type II
@@ -512,7 +623,8 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     Replicates are thinned in chunks of about _PARENT_BUDGET expected
     parents (see _chunk_replicates): each chunk is laid out along the x
     axis with spacing wider than any interaction range and passed through
-    one KD-tree query, which removes the per-replicate Python cost.
+    one KD-tree query (dense type I: one cell test, _alone_in_window),
+    which removes the per-replicate Python cost.
     Chunks run on up to two threads, never more than the CPUs this process
     may use. The per-replicate streams, and pair decisions made on
     untranslated coordinates, make the result identical to looping over
@@ -560,11 +672,13 @@ def _ensemble_threads(chunks: int) -> int:
 def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
                 chunk_start: int, chunk: int):
     """Draw and thin replicates [chunk_start, chunk_start + chunk) in one
-    KD-tree pass. Returns (points, radii, keep, rep_local, marks): every
-    parent drawn, its distance from the origin, True where it is retained
-    and in the window, its replicate's index in the chunk, and its mark
-    (marks is None unless type II). Each replicate only draws its uniforms;
-    the geometry is formed once per chunk (_palm_parents)."""
+    pass: a KD-tree pair search, or for type I at lambda_p*delta**2 >=
+    _DENSE_TYPE1 the cell test (_alone_in_window). Returns (points, radii,
+    keep, rep_local, marks): every parent drawn, its distance from the
+    origin, True where it is retained and in the window, its replicate's
+    index in the chunk, and its mark (marks is None unless type II). Each
+    replicate only draws its uniforms; the geometry is formed once per
+    chunk (_palm_parents)."""
     delta, r_window = params.delta, cfg.window_radius
     is_type2 = params.kind is ProcessKind.MATERN_II
     blocks = []
@@ -579,6 +693,11 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
 
     rsq, theta, marks, rep_local = _palm_parents(params, cfg, blocks, origin_marks)
     points = _polar_points(rsq, theta)
+    radii = np.hypot(points[:, 0], points[:, 1])
+    if (params.kind is ProcessKind.MATERN_I
+            and params.lambda_p * delta * delta >= _DENSE_TYPE1):
+        keep = _alone_in_window(points, rep_local, chunk, radii, delta, r_window)
+        return points, radii, keep, rep_local, None
     spacing = 2.0 * (r_window + delta) + 2.0 * delta + 1.0
     shifted = points.copy()
     shifted[:, 0] += rep_local * spacing
@@ -590,8 +709,6 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
         marks = np.concatenate((marks, origin_marks))
         shifted = np.concatenate((shifted, origins))
     dead = _dead_mask(params, competitors, marks, shifted)[:len(points)]
-
-    radii = np.hypot(points[:, 0], points[:, 1])
     keep = ~dead & (radii <= r_window)
     if marks is not None:
         marks = marks[:len(points)]
@@ -691,8 +808,10 @@ def estimate_k_function(ens: PalmEnsemble,
     own error is an order of magnitude smaller in the intended regimes.
     """
     r_grid = np.asarray(radii, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size == 0 or np.any(r_grid < 0):
-        raise ValidationError("radii must be a nonempty 1-d grid of r >= 0")
+    if (r_grid.ndim != 1 or r_grid.size == 0
+            or not np.all(np.isfinite(r_grid) & (r_grid >= 0))):
+        raise ValidationError(
+            "radii must be a nonempty 1-d grid of finite r >= 0")
     if np.any(r_grid > ens.window_radius):
         raise ValidationError("radii beyond the window would be truncated")
     lam_hat, _ = intensity_estimate_from_ensemble(ens)

@@ -122,6 +122,160 @@ def test_type1_survivors_are_a_subset_of_type2_survivors():
     assert pdist(t2.points).min(initial=math.inf) >= 0.7
 
 
+# ---------------------------------------------------------------------------
+# Dense type I thinning by cells (_alone_in_window)
+# ---------------------------------------------------------------------------
+
+
+def pair_path_keep(points, rep_local, radii, delta, r_window):
+    """The keep mask of the KD-tree pair path, one replicate at a time."""
+    params = type1(delta)
+    dead = np.zeros(len(points), dtype=bool)
+    for rep in np.unique(rep_local):
+        at = rep_local == rep
+        dead[at] = simulate._dead_mask(params, points[at], None)
+    return ~dead & (radii <= r_window)
+
+
+def assert_cells_match_pairs(points, rep_local, delta, r_window):
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    rep_local = np.asarray(rep_local, dtype=np.intp)
+    radii = np.hypot(points[:, 0], points[:, 1])
+    chunk = int(rep_local.max(initial=-1)) + 1
+    keep = simulate._alone_in_window(points, rep_local, chunk, radii, delta,
+                                     r_window)
+    want = pair_path_keep(points, rep_local, radii, delta, r_window)
+    assert keep.dtype == bool and keep.shape == (len(points),)
+    assert np.array_equal(keep, want), np.flatnonzero(keep != want)
+    return keep
+
+
+@pytest.mark.parametrize("density", [1.0, 2.0, 5.0, 20.0])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_cell_thinning_matches_the_pair_path_on_whole_chunks(density, delta):
+    params = HardCoreParams(density / delta**2, delta, ProcessKind.MATERN_I)
+    for window in (3.0 * delta, 7.0 * delta, default_window_radius(params)):
+        cfg = SimulationConfig(window_radius=window, replicates=10**6,
+                               seed=int(10 * density))
+        chunk = simulate._chunk_replicates(params, cfg)
+        points, radii, keep, rep_local, marks = simulate._thin_chunk(
+            params, cfg, 5 * chunk, chunk)
+        assert marks is None
+        assert np.array_equal(
+            keep, pair_path_keep(points, rep_local, radii, delta, window))
+        # the dense cases do retain points, in and beyond 2*delta
+        if density <= 2.0:
+            assert np.any(keep & (radii > 2.0 * delta))
+
+
+@pytest.mark.parametrize("lam_p, delta, kind, cells", [
+    (2.0, 1.0, ProcessKind.MATERN_I, True),
+    (1.0, 1.0, ProcessKind.MATERN_I, True),
+    (0.25, 2.0, ProcessKind.MATERN_I, True),
+    (1.5, 0.8, ProcessKind.MATERN_I, False),
+    (2.0, 0.5, ProcessKind.MATERN_I, False),
+    (2.0, 1.0, ProcessKind.MATERN_II, False),
+    (2.0, 1.0, ProcessKind.POISSON_HOLE, False),
+    (2.0, 0.0, ProcessKind.MATERN_I, False),
+])
+def test_cell_thinning_is_taken_by_dense_type1_only(lam_p, delta, kind, cells,
+                                                    monkeypatch):
+    # _thin_chunk looks the cell path up at call time, so it can be wrapped
+    calls = []
+    cell_path = simulate._alone_in_window
+
+    def recorded(*args):
+        calls.append(args[2])
+        return cell_path(*args)
+
+    monkeypatch.setattr(simulate, "_alone_in_window", recorded)
+    cfg = SimulationConfig(window_radius=max(3.0 * delta, 3.0), replicates=3)
+    run_palm_ensemble(HardCoreParams(lam_p, delta, kind), cfg)
+    assert calls == ([3] if cells else [])
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_cell_thinning_is_strict_at_delta(delta):
+    # delta is a power of two, so a gap of delta squares to exactly delta**2
+    # and the next float below it to less. The replicates overlap, as every
+    # chunk's do: each is decided on its own.
+    below = np.nextafter(delta, 0.0)
+    points = [[0.0, 0.0], [0.0, delta], [0.0, 0.0], [0.0, below],
+              [0.0, 0.0], [delta, 0.0], [0.0, 0.0], [-below, 0.0]]
+    keep = assert_cells_match_pairs(points, [0, 0, 1, 1, 2, 2, 3, 3], delta,
+                                    100.0 * delta)
+    assert keep.tolist() == [True, True, False, False] * 2
+
+
+def test_cell_thinning_edge_cases():
+    delta, window = 1.0, 7.0
+    outer = window + delta
+    # coincident points die, three at once as well as two
+    keep = assert_cells_match_pairs([[3.0, 1.0], [3.0, 1.0], [4.0, 4.0],
+                                     [4.0, 4.0], [4.0, 4.0], [-4.0, 0.5]],
+                                    [0] * 6, delta, window)
+    assert keep.tolist() == [False] * 5 + [True]
+    # points at the parent radius +-R, and at the window's edge +-W exactly
+    # delta from them, are decided like any other: the edge is inclusive,
+    # points beyond it are never kept, and they still kill those inside
+    points = [[outer, 0.0], [-outer, 0.0], [0.0, outer], [0.0, -outer],
+              [window, 0.0], [-window, 0.0],
+              [0.0, 6.95], [0.0, 7.9], [0.0, -window], [0.5, -window - 0.3]]
+    keep = assert_cells_match_pairs(points, [0] * len(points), delta, window)
+    assert keep.tolist() == [False] * 4 + [True, True] + [False] * 4
+    # a chunk of one replicate, with nothing in its window
+    keep = assert_cells_match_pairs([[7.5, 0.0], [0.0, -7.9]], [0, 0], delta,
+                                    window)
+    assert not keep.any()
+    # a replicate with nothing in its window, and one with no points at
+    # all, between two that keep points; replicate 3's second point is
+    # within delta of replicate 0's, which must not reach it
+    points = [[4.0, 0.0], [7.5, 0.0], [7.6, 0.3], [-4.0, 0.0], [4.2, 0.5]]
+    keep = assert_cells_match_pairs(points, [0, 1, 1, 3, 3], delta, window)
+    assert keep.tolist() == [True, False, False, True, True]
+    # no points at all
+    assert_cells_match_pairs(np.empty((0, 2)), [], delta, window)
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 0.7])
+def test_cell_thinning_at_cell_corners(delta):
+    # For every cell offset (a, b) within four cells, one replicate holds a
+    # point at the corner of its cell nearest to cell (a, b) and one at the
+    # nearest corner of cell (a, b): that pair must die iff the cells' gap
+    # is below delta, so every such cell must be searched. A second
+    # replicate puts the pair at the corners farthest apart: edge-adjacent
+    # cells then hold points just inside delta, and diagonal ones points
+    # beyond it, so the cell test must reach no further than delta.
+    side = simulate._CELL * delta
+    lo, hi = 12.001, 12.999   # in cells, the grid's origin at (0, 0)
+
+    def near(a):
+        return (hi if a > 0 else lo if a < 0 else 12.5,
+                a + (lo if a > 0 else hi if a < 0 else 12.5))
+
+    def far(a):
+        return (lo, a + hi) if a >= 0 else (hi, a + lo)
+
+    points, rep_local = [[0.0, 0.0]], [0]
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            for corners in (near, far):
+                if a == b == 0:
+                    continue
+                (px, qx), (py, qy) = corners(a), corners(b)
+                points += [[px * side, py * side], [qx * side, qy * side]]
+                rep_local += [rep_local[-1] + 1] * 2
+    points = np.array(points)
+    keep = assert_cells_match_pairs(points, rep_local, delta, 100.0 * delta)
+    assert keep[0]
+    dx, dy = (points[1::2] - points[2::2]).T
+    alive = ~(dx * dx + dy * dy < delta * delta)
+    assert np.array_equal(keep[1::2], alive)
+    assert np.array_equal(keep[2::2], alive)
+    gap = np.hypot(dx, dy)
+    assert np.any(gap < delta) and np.any((gap > delta) & (gap < 1.3 * delta))
+
+
 def test_reliable_mask_is_inclusive_at_the_guard_line():
     pat = pattern([[0.0, 0.0], [8.9, 0.0], [9.0, 0.0], [9.61, 0.0]])
     mask = reliable_mask(pat, 1.0)
@@ -240,6 +394,13 @@ def test_simulation_config_validation():
         SimulationConfig(window_radius=5.0, seed=-1)
     with pytest.raises(ValidationError):
         SimulationConfig(window_radius=5.0, seed=2**64)
+    # bool is an int, but True is neither a replicate count nor a seed
+    for flag in (True, False):
+        with pytest.raises(ValidationError, match="replicates"):
+            SimulationConfig(5.0, flag)
+        with pytest.raises(ValidationError, match="seed"):
+            SimulationConfig(window_radius=5.0, seed=flag)
+    assert SimulationConfig(5.0, 1, 1).replicates == 1
 
 
 def test_window_must_reach_three_delta():
@@ -268,28 +429,47 @@ def test_sample_palm_is_deterministic_per_replicate():
     assert not np.array_equal(a.points, c.points)
 
 
-@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
-def test_sample_palm_respects_hard_core_and_origin(kind):
-    params = HardCoreParams(2.0, 0.5, kind)
+@pytest.mark.parametrize("kind, lam_p, delta", [
+    pytest.param(ProcessKind.MATERN_I, 2.0, 0.5, id="ProcessKind.MATERN_I"),
+    pytest.param(ProcessKind.MATERN_II, 2.0, 0.5, id="ProcessKind.MATERN_II"),
+    # lambda_p*delta**2 = 2: thinned by cells, not pairs
+    pytest.param(ProcessKind.MATERN_I, 2.0, 1.0, id="ProcessKind.MATERN_I-dense"),
+])
+def test_sample_palm_respects_hard_core_and_origin(kind, lam_p, delta):
+    params = HardCoreParams(lam_p, delta, kind)
     cfg = SimulationConfig(window_radius=6.0, seed=5)
+    retained = 0
     for rep in range(12):
         pat = sample_palm(params, cfg, replicate=rep)
+        retained += len(pat)
         if len(pat) == 0:
             continue
         # the origin holds a retained point, so nothing lives within delta
-        assert float(np.min(pat.radii)) >= 0.5
-        assert pdist(pat.points).min(initial=math.inf) >= 0.5
+        assert float(np.min(pat.radii)) >= delta
+        assert float(np.max(pat.radii)) <= 6.0
+        assert pdist(pat.points).min(initial=math.inf) >= delta
+    assert retained > 0
 
 
-# the first and last replicate of the 600-replicate ensembles below, and
-# those on both sides of each seam between the chunks they are thinned in
-_SEAM_CHUNK = simulate._chunk_replicates(
-    HardCoreParams(1.5, 0.8, ProcessKind.MATERN_I),
-    SimulationConfig(window_radius=6.0, replicates=600))
-SEAM_REPLICATES = sorted({0, 599} | {seam + side
-                                     for seam in range(_SEAM_CHUNK, 600,
-                                                       _SEAM_CHUNK)
-                                     for side in (-1, 0)})
+def seam_replicates(params, cfg):
+    """The first and last replicate of an ensemble, and those on both sides
+    of each seam between the chunks it is thinned in."""
+    size = simulate._chunk_replicates(params, cfg)
+    last = cfg.replicates - 1
+    return sorted({0, last} | {seam + side
+                               for seam in range(size, cfg.replicates, size)
+                               for side in (-1, 0)})
+
+
+# the ensembles of the bitwise test below: lambda_p*delta**2 = 0.96 is
+# thinned by pairs, and the dense type I case, at 2, by cells
+ENSEMBLE_CASES = [
+    pytest.param(ProcessKind.POISSON_HOLE, 1.5, 0.8,
+                 id="ProcessKind.POISSON_HOLE"),
+    pytest.param(ProcessKind.MATERN_I, 1.5, 0.8, id="ProcessKind.MATERN_I"),
+    pytest.param(ProcessKind.MATERN_II, 1.5, 0.8, id="ProcessKind.MATERN_II"),
+    pytest.param(ProcessKind.MATERN_I, 2.0, 1.0, id="ProcessKind.MATERN_I-dense"),
+]
 
 
 def test_chunk_sizing_rule():
@@ -311,20 +491,22 @@ def test_chunk_sizing_rule():
             assert size == reps or (size + 1) * expected > budget
         else:
             assert size == 1
-    # the bitwise test below crosses several seams
-    assert len(SEAM_REPLICATES) > 6
+    # the bitwise test below crosses several seams in each case
+    for case in ENSEMBLE_CASES:
+        kind, lam_p, delta = case.values
+        cfg = SimulationConfig(window_radius=6.0, replicates=600)
+        assert len(seam_replicates(HardCoreParams(lam_p, delta, kind), cfg)) > 6
 
 
-@pytest.mark.parametrize("kind", [ProcessKind.POISSON_HOLE,
-                                  ProcessKind.MATERN_I,
-                                  ProcessKind.MATERN_II])
-def test_ensemble_matches_per_replicate_sampling_bitwise(kind):
-    params = HardCoreParams(1.5, 0.8, kind)
+@pytest.mark.parametrize("kind, lam_p, delta", ENSEMBLE_CASES)
+def test_ensemble_matches_per_replicate_sampling_bitwise(kind, lam_p, delta):
+    params = HardCoreParams(lam_p, delta, kind)
     cfg = SimulationConfig(window_radius=6.0, replicates=16, seed=3)
     ens = run_palm_ensemble(params, cfg)
     assert ens.replicates == 16
     assert ens.window_radius == 6.0
-    assert ens.delta == 0.8
+    assert ens.delta == delta
+    assert ens.radii.size > 0
     for rep in range(16):
         from_ens = np.sort(ens.radii[ens.rep_ids == rep])
         pat = sample_palm(params, cfg, replicate=rep)
@@ -337,7 +519,7 @@ def test_ensemble_matches_per_replicate_sampling_bitwise(kind):
     cfg = SimulationConfig(window_radius=6.0, replicates=600, seed=3)
     ens = run_palm_ensemble(params, cfg)
     assert np.all(np.diff(ens.rep_ids) >= 0)
-    for rep in SEAM_REPLICATES:
+    for rep in seam_replicates(params, cfg):
         in_rep = ens.rep_ids == rep
         pat = sample_palm(params, cfg, replicate=rep)
         assert np.array_equal(ens.radii[in_rep], pat.radii), rep
@@ -642,3 +824,7 @@ def test_k_function_estimate_validation():
                                                      replicates=2))
     with pytest.raises(ValidationError):
         estimate_k_function(ens, [11.0])
+    # NaN passes both the r >= 0 and the window check; it is no radius
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            estimate_k_function(ens, [bad, 2.0])
