@@ -243,22 +243,12 @@ def _run_bounds(p: dict):
 
 
 def _run_sample(p: dict):
-    from .simulate import (
-        SimulationConfig,
-        replicate_rng,
-        sample_palm,
-        sample_parent,
-        thin,
-    )
+    from .simulate import SimulationConfig, sample_palm, sample_window
 
     params = _params(p["process"], p["lambda_p"], p["delta"])
-    if p["mode"] == "palm":
-        cfg = SimulationConfig(window_radius=p["window_radius"],
-                               replicates=1, seed=p["seed"])
-        pattern = sample_palm(params, cfg)
-    else:
-        rng = replicate_rng(p["seed"], 0)
-        pattern = thin(sample_parent(params, p["window_radius"], rng), params)
+    cfg = SimulationConfig(p["window_radius"], 1, p["seed"])
+    sample = sample_palm if p["mode"] == "palm" else sample_window
+    pattern = sample(params, cfg)
     rows = [{
         "x": float(x),
         "y": float(y),

@@ -1,24 +1,27 @@
 """Exact samplers for the three processes and Palm-conditioned Monte Carlo.
 
-One thinning rule serves every process kind (``thin`` on a windowed parent
-pattern, ``_dead_mask`` underneath), one Palm sampler draws a replicate
-seen from a retained point at the origin (``sample_palm``), and one
-ensemble flattens many replicates (``run_palm_ensemble``); the mean
-interference, intensity and K-function estimators are reductions over that
-ensemble. The rule is decided one of two ways, with the same result to the
-bit: by a KD-tree search for the pairs closer than delta (_strict_pairs),
-or, for type I Palm chunks at lambda_p*delta**2 >= 1, where almost every
-parent dies, by an exact cell test that builds no tree (_alone_in_window).
-The cell test's two margins keep it exact: two points it declares dead
-without a distance are at most 0.984*delta apart, and the cells it does
-not search are at least 1.24*delta away.
+One draw-and-thin pass (_thin_chunk) serves both views of a process: the
+Palm view, seen from a retained point at the origin (``sample_palm``), and
+the stationary view in a window disk (``sample_window``). One ensemble loop
+(_ensemble) runs that pass over many replicates, and every estimator is a
+reduction over what it returns: the mean interference, the Palm intensity
+and the K-function over a Palm ensemble (``run_palm_ensemble``), and the
+stationary intensity (``estimate_intensity``) over a windowed one. The
+thinning rule (_dead_mask) is decided one of two ways, with the same result
+to the bit: by a KD-tree search for the pairs closer than delta
+(_strict_pairs), or, for type I at lambda_p*delta**2 >= 1, where almost
+every parent dies, by an exact cell test that builds no tree
+(_alone_in_window). The cell test's two margins keep it exact: two points
+it declares dead without a distance are at most 0.984*delta apart, and the
+cells it does not search are at least 1.24*delta away.
 
 Sampling is exact, not approximate: the type I Palm construction uses the
 fact that conditioning a Poisson parent on an empty exclusion ball just
 removes that ball from its domain, and the type II construction draws the
 origin's mark from its Palm law and then the exclusion ball's parents given
-that mark (see _draw_palm_parent). Window truncation is corrected with an
-analytic tail that is unbiased because every process kind has exactly
+that mark (see _draw_palm_parent). A windowed replicate is the same draw
+with a hole of radius 0 and no origin. Window truncation is corrected with
+an analytic tail that is unbiased because every process kind has exactly
 Poisson second-order structure beyond twice the hard-core distance.
 
 Determinism contract: replicate k draws from the generator
@@ -26,18 +29,19 @@ default_rng(SeedSequence(entropy=seed, spawn_key=(k,))), so results are
 independent of execution order, chunking, and parallelism. Its seed words
 are computed here with SeedSequence's documented mixing (replicate_rng),
 and a test pins them to NumPy's. The per-replicate draw order is fixed:
-(Poisson hole, type I) parent count, then one block of standard uniforms
-holding the squared radii and then the angles; (type II) origin mark,
-interior count, one block of interior squared radii, angles and marks, then
-exterior count and one block of its squared radii, angles and marks. A
-replicate only draws its blocks; scaling them into squared radii, angles
-and marks, and the coordinates, are elementwise and done once per chunk,
-which gives each replicate the bits of its own draws (_palm_parents).
-Ensembles are thinned in chunks of about 2**13 expected parents (never
-less than one replicate) on up to two threads; neither the chunk size nor
-the thread count changes a single bit of the result, because every chunk
-draws from its own replicates' streams and every thinning decision is made
-on the replicate's own coordinates.
+(windowed, Poisson hole, type I) parent count, then one block of standard
+uniforms holding the squared radii, then the angles and, for a windowed
+type II replicate, the marks; (Palm type II) origin mark, interior count,
+one block of interior squared radii, angles and marks, then exterior count
+and one block of its squared radii, angles and marks. A replicate only
+draws its blocks; scaling them into squared radii, angles and marks, and
+the coordinates, are elementwise and done once per chunk, which gives each
+replicate the bits of its own draws (_palm_parents). Ensembles are thinned
+in chunks of about 2**13 expected parents (never less than one replicate)
+on up to two threads; neither the chunk size nor the thread count changes
+a single bit of the result, because every chunk draws from its own
+replicates' streams and every thinning decision is made on the replicate's
+own coordinates.
 """
 
 from __future__ import annotations
@@ -68,9 +72,8 @@ __all__ = [
     "SimulationConfig",
     "default_window_radius",
     "replicate_rng",
-    "sample_parent",
-    "thin",
     "sample_palm",
+    "sample_window",
     "run_palm_ensemble",
     "interference_estimate_from_ensemble",
     "intensity_estimate_from_ensemble",
@@ -116,9 +119,12 @@ class SimulationConfig(_Record):
     tail_policy: TailPolicy = TailPolicy.ANALYTIC_TAIL
 
     def __post_init__(self):
-        if not (self.window_radius > 0 and math.isfinite(self.window_radius)):
+        # bool is an int, and True would silently give a window of radius 1,
+        # one replicate or seed 1
+        if (isinstance(self.window_radius, bool)
+                or not (self.window_radius > 0
+                        and math.isfinite(self.window_radius))):
             raise ValidationError("window_radius must be positive and finite")
-        # bool is an int, and True would silently run one replicate
         if not (isinstance(self.replicates, int)
                 and not isinstance(self.replicates, bool)
                 and self.replicates >= 1):
@@ -270,30 +276,6 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     else:
         seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
     return np.random.Generator(np.random.PCG64(seed_seq))
-
-
-def _polar_points(rsq: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    r = np.sqrt(rsq)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-
-
-def sample_parent(params: HardCoreParams, r_outer: float,
-                  rng: np.random.Generator) -> PointPattern:
-    """Parent Poisson pattern of intensity params.lambda_p on the disk of
-    radius r_outer, ready for ``thin``: its points carry uniform marks iff
-    params.kind is type II. The draw order is count, squared radii, angles,
-    marks."""
-    if not (0 <= r_outer < math.inf):
-        raise ValidationError("need 0 <= r_outer < inf")
-    area = math.pi * (r_outer * r_outer)
-    n = int(rng.poisson(params.lambda_p * area)) if area > 0 else 0
-    # a squared radius uniform on [0, r_outer^2] gives uniform area density
-    rsq = rng.uniform(0.0, r_outer * r_outer, n)
-    points = _polar_points(rsq, rng.uniform(0.0, _TWO_PI, n))
-    marks = (rng.uniform(0.0, 1.0, n) if params.kind is ProcessKind.MATERN_II
-             else None)
-    window = r_outer if r_outer > 0 else 1.0
-    return PointPattern(points=points, window_radius=window, marks=marks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,55 +445,37 @@ def _close_in_cells(points: np.ndarray, cells: np.ndarray, counts: np.ndarray,
     return close
 
 
-def thin(parent: PointPattern, params: HardCoreParams) -> PointPattern:
-    """The process of kind params.kind obtained by thinning a parent
-    pattern at hard-core distance params.delta (see _dead_mask); type II
-    needs distinct marks, and the Poisson hole keeps every point. Points
-    near the window edge are thinned against the available parents only;
-    callers needing exact retention should restrict attention to points at
-    least delta inside the window (see reliable_mask)."""
-    if params.kind is ProcessKind.MATERN_II:
-        if parent.marks is None:
-            raise ValidationError("type II thinning requires marks")
-        if np.unique(parent.marks).size != len(parent):
-            raise ValidationError("type II thinning requires distinct marks")
-    dead = _dead_mask(params, parent.points, parent.marks)
-    marks = None if parent.marks is None else parent.marks[~dead]
-    return PointPattern(points=parent.points[~dead],
-                        window_radius=parent.window_radius, marks=marks)
-
-
-def reliable_mask(pattern: PointPattern, guard: float) -> np.ndarray:
-    """True for points far enough from the window edge that their thinning
-    decision involved every possible competitor (requires guard >= delta)."""
-    if not (0 <= guard <= pattern.window_radius):
-        raise ValidationError("guard must lie in [0, window_radius]")
-    return pattern.radii <= pattern.window_radius - guard
-
-
 # ---------------------------------------------------------------------------
-# Palm-conditioned sampling (process seen from a typical retained point)
+# Draw and thin: one pass for the Palm and the windowed view
 # ---------------------------------------------------------------------------
 
 
-def _parent_radius(params: HardCoreParams, cfg: SimulationConfig) -> float:
-    """Radius of the disk holding a Palm replicate's parents: competitors
-    of any in-window point of a Matern process live within delta of it."""
+def _parent_disk(params: HardCoreParams, cfg: SimulationConfig,
+                 palm: bool) -> tuple[float, float]:
+    """(hole, r_outer): the annulus holding a replicate's parents. A
+    windowed replicate's parents fill the window, (0, W). A Palm
+    replicate's lie outside the exclusion ball, and for a Matern process
+    out to W + delta, since competitors of any in-window point live within
+    delta of it: (delta, W + delta), or (delta, W) for the Poisson hole."""
+    if not palm:
+        return 0.0, cfg.window_radius
     if params.kind is ProcessKind.POISSON_HOLE:
-        return cfg.window_radius
-    return cfg.window_radius + params.delta
+        return params.delta, cfg.window_radius
+    return params.delta, cfg.window_radius + params.delta
 
 
 def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
-                      rng: np.random.Generator):
-    """Parent configuration conditioned on a retained point at the origin,
-    as the standard uniforms it is built from (see _palm_parents).
+                      rng: np.random.Generator, palm: bool):
+    """One replicate's parent configuration, as the standard uniforms it is
+    built from (see _palm_parents): conditioned on a retained point at the
+    origin if palm, else a plain Poisson draw in the window.
 
     Returns (interior, exterior, origin_mark). ``exterior`` holds the
-    parents between delta and the parent radius: one block of n squared
-    radii, n angles and, for type II, n marks. For type II, ``interior``
-    is the same block for the parents inside the exclusion ball, drawn
-    first, and ``origin_mark`` the origin's mark; both are None otherwise.
+    parents of the annulus _parent_disk gives: one block of n squared
+    radii, n angles and, for type II, n marks. For a Palm type II
+    replicate, ``interior`` is the same block for the parents inside the
+    exclusion ball, drawn first, and ``origin_mark`` the origin's mark;
+    both are None otherwise.
     Every draw is exact. A type I origin is retained iff its exclusion
     ball is empty, and a Poisson process conditioned on an empty ball is
     the process on the complement. A type II origin with mark m is
@@ -523,37 +487,37 @@ def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
     are unconditioned.
     """
     delta, lam_p = params.delta, params.lambda_p
-    r_outer = _parent_radius(params, cfg)
+    hole, r_outer = _parent_disk(params, cfg, palm)
+    is_type2 = params.kind is ProcessKind.MATERN_II
     interior = origin_mark = None
-    if params.kind is ProcessKind.MATERN_II:
+    if palm and is_type2:
         a = lam_p * math.pi * delta * delta
         u0 = rng.random()
         # inverse of the mark's distribution function
         # (1 - exp(-a*m)) / (1 - exp(-a))
         origin_mark = -math.log1p(u0 * math.expm1(-a)) / a if a > 0 else u0
         interior = rng.random(3 * int(rng.poisson(a * (1.0 - origin_mark))))
-    area = math.pi * (r_outer * r_outer - delta * delta)
+    area = math.pi * (r_outer * r_outer - hole * hole)
     n = int(rng.poisson(lam_p * area))
-    exterior = rng.random((2 if interior is None else 3) * n)
+    exterior = rng.random((3 if is_type2 else 2) * n)
     return interior, exterior, origin_mark
 
 
 def _palm_parents(params: HardCoreParams, cfg: SimulationConfig,
-                  blocks: list, origin_marks: Optional[list]):
+                  blocks: list, origin_marks: Optional[list], palm: bool):
     """(rsq, theta, marks, rep_local) of a chunk's parents from its
     replicates' uniform blocks (see _draw_palm_parent), listed in draw
-    order: for type II each replicate's interior block, then its exterior
-    block. marks is None unless type II, and rep_local is each parent's
-    replicate's index in the chunk.
+    order: for Palm type II each replicate's interior block, then its
+    exterior block. marks is None unless type II, and rep_local is each
+    parent's replicate's index in the chunk.
 
     Every map is elementwise and matches what the replicate's own draws
     would give: uniform(lo, hi, n) is lo + (hi - lo)*random(n), so the
-    exterior's squared radii are delta^2 + (R^2 - delta^2)*u, its angles
+    exterior's squared radii are hole^2 + (R^2 - hole^2)*u, its angles
     2*pi*u (0 + 2*pi*u) and its marks u (0 + 1*u); the interior's squared
     radii are delta^2*u and its marks m + (1 - m)*u.
     """
-    delta = params.delta
-    r_outer = _parent_radius(params, cfg)
+    hole, r_outer = _parent_disk(params, cfg, palm)
     is_type2 = params.kind is ProcessKind.MATERN_II
     width = 3 if is_type2 else 2
     counts = np.fromiter(map(len, blocks), np.intp, len(blocks)) // width
@@ -566,18 +530,29 @@ def _palm_parents(params: HardCoreParams, cfg: SimulationConfig,
     at = np.repeat((width - 1) * starts, counts)
     at += np.arange(at.size)
     u_rsq = np.take(u, at)
-    lo = delta * delta
+    lo = hole * hole
     rsq = lo + (r_outer * r_outer - lo) * u_rsq
     theta = _TWO_PI * np.take(u, at + per_parent)
     segments = np.arange(len(blocks))
-    if not is_type2:
-        return rsq, theta, None, np.repeat(segments, counts)
-    marks = np.take(u, at + 2 * per_parent)
+    marks = np.take(u, at + 2 * per_parent) if is_type2 else None
+    if not (palm and is_type2):
+        return rsq, theta, marks, np.repeat(segments, counts)
     inside = np.repeat(segments % 2 == 0, counts)
     rsq[inside] = lo * u_rsq[inside]
     origin = np.repeat(np.asarray(origin_marks), counts[0::2])
     marks[inside] = origin + (1.0 - origin) * marks[inside]
     return rsq, theta, marks, np.repeat(segments // 2, counts)
+
+
+def _sample(params: HardCoreParams, cfg: SimulationConfig, replicate: int,
+            palm: bool) -> PointPattern:
+    # bool is an int, and True would silently sample replicate 1
+    if not (isinstance(replicate, int) and not isinstance(replicate, bool)
+            and replicate >= 0):
+        raise ValidationError("replicate must be an integer >= 0")
+    points, _, keep, _, marks = _thin_chunk(params, cfg, replicate, 1, palm)
+    return PointPattern(points=points[keep], window_radius=cfg.window_radius,
+                        marks=None if marks is None else marks[keep])
 
 
 def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
@@ -589,9 +564,20 @@ def sample_palm(params: HardCoreParams, cfg: SimulationConfig,
     (_thin_chunk) on a chunk of one replicate, so run_palm_ensemble
     reproduces it replicate by replicate, bit for bit."""
     _check_window(params, cfg)
-    points, _, keep, _, marks = _thin_chunk(params, cfg, replicate, 1)
-    return PointPattern(points=points[keep], window_radius=cfg.window_radius,
-                        marks=None if marks is None else marks[keep])
+    return _sample(params, cfg, replicate, palm=True)
+
+
+def sample_window(params: HardCoreParams, cfg: SimulationConfig,
+                  replicate: int = 0) -> PointPattern:
+    """One pattern of params.kind in the window disk: a Poisson parent of
+    intensity lambda_p on the disk of radius cfg.window_radius, thinned
+    against itself; type II survivors carry their marks. Points within
+    delta of the edge are thinned against the window's parents only, so
+    only those at least delta inside it are exact (estimate_intensity
+    counts those). Any window radius is allowed. This is
+    estimate_intensity's own draw and thinning on a chunk of one
+    replicate."""
+    return _sample(params, cfg, replicate, palm=False)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +604,23 @@ class PalmEnsemble(_Record):
 
 
 def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnsemble:
-    """Draw cfg.replicates Palm patterns and flatten them.
+    """Draw cfg.replicates Palm patterns and flatten them (see _ensemble).
+    The result is identical to looping over sample_palm one replicate at a
+    time."""
+    _check_window(params, cfg)
+    radii, rep_ids = _ensemble(params, cfg, palm=True)
+    return PalmEnsemble(
+        radii=radii,
+        rep_ids=rep_ids,
+        replicates=cfg.replicates,
+        window_radius=cfg.window_radius,
+        delta=params.delta,
+    )
+
+
+def _ensemble(params: HardCoreParams, cfg: SimulationConfig, palm: bool):
+    """(radii, rep_ids) of every retained in-window point of cfg.replicates
+    Palm (palm) or windowed replicates, grouped by replicate.
 
     Replicates are thinned in chunks of about _PARENT_BUDGET expected
     parents (see _chunk_replicates): each chunk is laid out along the x
@@ -627,26 +629,20 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     which removes the per-replicate Python cost.
     Chunks run on up to two threads, never more than the CPUs this process
     may use. The per-replicate streams, and pair decisions made on
-    untranslated coordinates, make the result identical to looping over
-    sample_palm one replicate at a time, whatever the chunking or the
-    thread count.
+    untranslated coordinates, make the result identical to sampling one
+    replicate at a time (sample_palm, sample_window), whatever the
+    chunking or the thread count.
     """
     # imported here, like scipy.spatial, to keep it off the CLI's cold start
     from concurrent.futures import ThreadPoolExecutor
 
-    _check_window(params, cfg)
     size = _chunk_replicates(params, cfg)
     starts = range(0, cfg.replicates, size)
     with ThreadPoolExecutor(max_workers=_ensemble_threads(len(starts))) as pool:
-        chunks = list(pool.map(partial(_palm_chunk, params, cfg, size), starts))
+        chunks = list(pool.map(partial(_ensemble_chunk, params, cfg, palm, size),
+                               starts))
     radii, rep_ids = zip(*chunks)
-    return PalmEnsemble(
-        radii=np.concatenate(radii),
-        rep_ids=np.concatenate(rep_ids),
-        replicates=cfg.replicates,
-        window_radius=cfg.window_radius,
-        delta=params.delta,
-    )
+    return np.concatenate(radii), np.concatenate(rep_ids)
 
 
 def _chunk_replicates(params: HardCoreParams, cfg: SimulationConfig) -> int:
@@ -670,29 +666,32 @@ def _ensemble_threads(chunks: int) -> int:
 
 
 def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
-                chunk_start: int, chunk: int):
-    """Draw and thin replicates [chunk_start, chunk_start + chunk) in one
-    pass: a KD-tree pair search, or for type I at lambda_p*delta**2 >=
-    _DENSE_TYPE1 the cell test (_alone_in_window). Returns (points, radii,
-    keep, rep_local, marks): every parent drawn, its distance from the
-    origin, True where it is retained and in the window, its replicate's
-    index in the chunk, and its mark (marks is None unless type II). Each
-    replicate only draws its uniforms; the geometry is formed once per
-    chunk (_palm_parents)."""
+                chunk_start: int, chunk: int, palm: bool):
+    """Draw and thin Palm (palm) or windowed replicates [chunk_start,
+    chunk_start + chunk) in one pass: a KD-tree pair search, or for type I
+    at lambda_p*delta**2 >= _DENSE_TYPE1 the cell test (_alone_in_window).
+    Returns (points, radii, keep, rep_local, marks): every parent drawn,
+    its distance from the origin, True where it is retained and in the
+    window, its replicate's index in the chunk, and its mark (marks is None
+    unless type II). Each replicate only draws its uniforms; the geometry
+    is formed once per chunk (_palm_parents)."""
     delta, r_window = params.delta, cfg.window_radius
-    is_type2 = params.kind is ProcessKind.MATERN_II
+    # each Palm type II replicate's retained origin competes with its mark
+    with_origin = palm and params.kind is ProcessKind.MATERN_II
     blocks = []
-    origin_marks = [] if is_type2 else None
+    origin_marks = [] if with_origin else None
     for j in range(chunk):
         interior, exterior, origin_mark = _draw_palm_parent(
-            params, cfg, replicate_rng(cfg.seed, chunk_start + j))
-        if is_type2:
+            params, cfg, replicate_rng(cfg.seed, chunk_start + j), palm)
+        if with_origin:
             blocks.append(interior)
             origin_marks.append(origin_mark)
         blocks.append(exterior)
 
-    rsq, theta, marks, rep_local = _palm_parents(params, cfg, blocks, origin_marks)
-    points = _polar_points(rsq, theta)
+    rsq, theta, marks, rep_local = _palm_parents(params, cfg, blocks,
+                                                 origin_marks, palm)
+    r = np.sqrt(rsq)
+    points = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
     radii = np.hypot(points[:, 0], points[:, 1])
     if (params.kind is ProcessKind.MATERN_I
             and params.lambda_p * delta * delta >= _DENSE_TYPE1):
@@ -702,8 +701,7 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     shifted = points.copy()
     shifted[:, 0] += rep_local * spacing
     competitors = points
-    if is_type2:
-        # each replicate's retained origin competes with its mark
+    if with_origin:
         origins = np.column_stack((np.arange(chunk) * spacing, np.zeros(chunk)))
         competitors = np.concatenate((points, np.zeros((chunk, 2))))
         marks = np.concatenate((marks, origin_marks))
@@ -715,20 +713,30 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     return points, radii, keep, rep_local, marks
 
 
-def _palm_chunk(params: HardCoreParams, cfg: SimulationConfig, size: int,
-                chunk_start: int):
+def _ensemble_chunk(params: HardCoreParams, cfg: SimulationConfig, palm: bool,
+                    size: int, chunk_start: int):
     """Draw and thin replicates [chunk_start, chunk_start + size), as
-    _thin_chunk does; run_palm_ensemble sizes chunks by their expected
-    parents. Returns the retained in-window radii and their replicate
-    ids."""
+    _thin_chunk does; _ensemble sizes chunks by their expected parents.
+    Returns the retained in-window radii and their replicate ids."""
     chunk = min(size, cfg.replicates - chunk_start)
-    _, radii, keep, rep_local, _ = _thin_chunk(params, cfg, chunk_start, chunk)
+    _, radii, keep, rep_local, _ = _thin_chunk(params, cfg, chunk_start, chunk,
+                                               palm)
     return radii[keep], rep_local[keep] + chunk_start
 
 
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
+
+
+def _mean_se(samples: np.ndarray):
+    """The mean of per-replicate samples (along axis 0) and its standard
+    error, zero for a single replicate."""
+    n = len(samples)
+    mean = np.mean(samples, axis=0)
+    if n < 2:
+        return mean, np.zeros_like(mean)
+    return mean, np.std(samples, axis=0, ddof=1) / math.sqrt(n)
 
 
 def interference_estimate_from_ensemble(
@@ -744,15 +752,15 @@ def interference_estimate_from_ensemble(
         # and the window never ends inside the transition annulus
         tail = _TWO_PI * intensity(params) * pathloss.radial_integral(
             ens.window_radius, math.inf)
-    n = ens.replicates
-    mean = float(np.mean(per_rep)) + tail
-    std_error = float(np.std(per_rep, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    mean, std_error = _mean_se(per_rep)
+    mean = float(mean) + tail
+    std_error = float(std_error)
     return InterferenceEstimate(
         mean=mean,
         std_error=std_error,
         ci_low=mean - _Z95 * std_error,
         ci_high=mean + _Z95 * std_error,
-        replicates=n,
+        replicates=ens.replicates,
         tail_correction=tail,
     )
 
@@ -770,11 +778,8 @@ def intensity_estimate_from_ensemble(
         raise ValidationError("window too small for the intensity annulus")
     in_annulus = ens.radii > 2.0 * delta
     counts = np.bincount(ens.rep_ids[in_annulus], minlength=ens.replicates)
-    n = ens.replicates
-    value = float(np.mean(counts)) / area
-    std_error = (float(np.std(counts, ddof=1) / math.sqrt(n)) / area
-                 if n > 1 else 0.0)
-    return value, std_error
+    mean, std_error = _mean_se(counts)
+    return float(mean) / area, float(std_error) / area
 
 
 def estimate_mean_interference(params: HardCoreParams, pathloss: PathLossModel,
@@ -822,31 +827,21 @@ def estimate_k_function(ens: PalmEnsemble,
     counts = np.empty((n, r_grid.size))
     for j, r in enumerate(r_grid):
         counts[:, j] = np.bincount(ens.rep_ids[ens.radii <= r], minlength=n)
-    k_values = np.mean(counts, axis=0) / lam_hat
-    if n > 1:
-        std_errors = np.std(counts, axis=0, ddof=1) / math.sqrt(n) / lam_hat
-    else:
-        std_errors = np.zeros(r_grid.size)
-    return KFunctionEstimate(radii=r_grid, k_values=k_values,
-                             std_errors=std_errors,
+    mean, std_error = _mean_se(counts)
+    return KFunctionEstimate(radii=r_grid, k_values=mean / lam_hat,
+                             std_errors=std_error / lam_hat,
                              intensity_estimate=lam_hat, replicates=n)
 
 
 def estimate_intensity(params: HardCoreParams,
                        cfg: SimulationConfig) -> tuple[float, float]:
-    """(intensity, standard error) by thinning parent patterns in a disk
-    window and counting points at least delta inside the edge, where the
-    thinning decision is exact."""
+    """(intensity, standard error) from windowed replicates (sample_window)
+    by counting the points at least delta inside the window edge, where
+    the thinning decision is exact, over the area they lie in."""
     _check_window(params, cfg)
+    radii, rep_ids = _ensemble(params, cfg, palm=False)
     core_radius = cfg.window_radius - params.delta
     core_area = math.pi * core_radius * core_radius
-    values = np.empty(cfg.replicates)
-    for k in range(cfg.replicates):
-        rng = replicate_rng(cfg.seed, k)
-        thinned = thin(sample_parent(params, cfg.window_radius, rng), params)
-        values[k] = (np.count_nonzero(reliable_mask(thinned, params.delta))
-                     / core_area)
-    mean = float(np.mean(values))
-    std_error = (float(np.std(values, ddof=1) / math.sqrt(cfg.replicates))
-                 if cfg.replicates > 1 else 0.0)
-    return mean, std_error
+    counts = np.bincount(rep_ids[radii <= core_radius], minlength=cfg.replicates)
+    mean, std_error = _mean_se(counts / core_area)
+    return float(mean), float(std_error)

@@ -302,6 +302,38 @@ def test_sample_window_mode_respects_hard_core(capsys):
     assert closest >= 0.5
 
 
+def test_sample_window_mode_takes_a_window_below_three_delta(capsys):
+    # one windowed pattern needs no margin of 3*delta; Palm mode does
+    argv = ["sample", "--process", "matern2", "--lambda-p", "2", "--delta", "1",
+            "--window-radius", "2", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv, "--mode", "window")
+    assert code == 0, err
+    rows, _ = csv_rows(out)
+    assert len(rows) > 0
+    assert all(math.hypot(float(r["x"]), float(r["y"])) <= 2.0 for r in rows)
+    code, out, err = run_cli(capsys, *argv, "--mode", "palm")
+    assert code == 2
+    assert "3*delta" in err
+
+
+@pytest.mark.parametrize("mode", ["palm", "window"])
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--seed", "-1", "seed"),
+    ("--seed", str(2**64), "seed"),
+    ("--window-radius", "0", "window_radius"),
+])
+def test_sample_modes_validate_alike(mode, flag, value, reason, capsys):
+    # both modes build one SimulationConfig; window mode used to crash on a
+    # negative seed and print an empty pattern for a zero window
+    code, out, err = run_cli(capsys, "sample", "--process", "matern2",
+                             "--lambda-p", "1", "--delta", "0.5",
+                             "--mode", mode, flag, value)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+    assert "Traceback" not in err
+
+
 # sha256 of the full stdout, manifest line included, of `sample` at
 # lambda_p = 1.5, delta = 0.8, window radius 6 and seed 3. They pin the
 # Palm sampler's coordinates and marks and the window-mode thinning, which

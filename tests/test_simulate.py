@@ -34,19 +34,33 @@ from matern_interference.simulate import (
     estimate_mean_interference,
     intensity_estimate_from_ensemble,
     interference_estimate_from_ensemble,
-    reliable_mask,
     replicate_rng,
     run_palm_ensemble,
     sample_palm,
-    sample_parent,
-    thin,
+    sample_window,
 )
 
 
-def pattern(points, marks=None, window=10.0):
-    return PointPattern(points=np.asarray(points, dtype=float),
-                        window_radius=window,
-                        marks=None if marks is None else np.asarray(marks))
+def thin(points, params, marks=None):
+    """The points, and their marks, that the thinning rule (_dead_mask)
+    keeps."""
+    points = np.asarray(points, dtype=float)
+    marks = None if marks is None else np.asarray(marks, dtype=float)
+    dead = simulate._dead_mask(params, points, marks)
+    return PointPattern(points=points[~dead], window_radius=10.0,
+                        marks=None if marks is None else marks[~dead])
+
+
+def window_parents(params, window, seed, replicate=0):
+    """(points, marks) of every parent a windowed replicate draws, before
+    thinning: the windowed pass on a chunk of one."""
+    cfg = SimulationConfig(window_radius=window, replicates=1, seed=seed)
+    points, _, _, _, marks = simulate._thin_chunk(params, cfg, replicate, 1,
+                                                  False)
+    if params.kind is ProcessKind.MATERN_I:
+        # type I thinning carries no marks; the draw has none either
+        assert marks is None
+    return points, marks
 
 
 def type1(delta):
@@ -63,18 +77,18 @@ def type2(delta):
 
 
 def test_thin_type1_removes_both_members_of_a_close_pair():
-    out = thin(pattern([[0.0, 0.0], [0.5, 0.0]]), type1(1.0))
+    out = thin([[0.0, 0.0], [0.5, 0.0]], type1(1.0))
     assert len(out) == 0
 
 
 def test_thin_keeps_pairs_at_exactly_delta():
     pts = [[0.0, 0.0], [1.0, 0.0]]
-    assert len(thin(pattern(pts), type1(1.0))) == 2
-    assert len(thin(pattern(pts, marks=[0.3, 0.6]), type2(1.0))) == 2
+    assert len(thin(pts, type1(1.0))) == 2
+    assert len(thin(pts, type2(1.0), marks=[0.3, 0.6])) == 2
 
 
 def test_thin_type2_keeps_smaller_mark():
-    out = thin(pattern([[0.0, 0.0], [0.5, 0.0]], marks=[0.2, 0.7]), type2(1.0))
+    out = thin([[0.0, 0.0], [0.5, 0.0]], type2(1.0), marks=[0.2, 0.7])
     assert len(out) == 1
     assert out.points[0, 0] == 0.0
     assert out.marks[0] == 0.2
@@ -84,37 +98,30 @@ def test_thin_type2_chain_dead_points_still_kill():
     # B dies to A, yet C still dies to B: the contest uses parent points,
     # not survivors
     pts = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
-    out = thin(pattern(pts, marks=[0.1, 0.2, 0.3]), type2(1.0))
+    out = thin(pts, type2(1.0), marks=[0.1, 0.2, 0.3])
     assert out.points.tolist() == [[0.0, 0.0]]
     # with the smallest mark in the middle only the middle point survives
-    out = thin(pattern(pts, marks=[0.3, 0.1, 0.2]), type2(1.0))
+    out = thin(pts, type2(1.0), marks=[0.3, 0.1, 0.2])
     assert out.points.tolist() == [[0.9, 0.0]]
 
 
 def test_thin_type1_chain_removes_all():
     pts = [[0.0, 0.0], [0.9, 0.0], [1.8, 0.0]]
-    assert len(thin(pattern(pts), type1(1.0))) == 0
+    assert len(thin(pts, type1(1.0))) == 0
 
 
 def test_thin_delta_zero_keeps_everything():
     pts = [[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]
-    assert len(thin(pattern(pts), type1(0.0))) == 3
-    assert len(thin(pattern(pts, marks=[0.1, 0.2, 0.3]), type2(0.0))) == 3
-
-
-def test_thin_type2_requires_distinct_marks():
-    with pytest.raises(ValidationError):
-        thin(pattern([[0.0, 0.0], [0.5, 0.0]], marks=[0.3, 0.3]), type2(1.0))
-    with pytest.raises(ValidationError):
-        thin(pattern([[0.0, 0.0], [0.5, 0.0]]), type2(1.0))  # no marks
+    assert len(thin(pts, type1(0.0))) == 3
+    assert len(thin(pts, type2(0.0), marks=[0.1, 0.2, 0.3])) == 3
 
 
 def test_type1_survivors_are_a_subset_of_type2_survivors():
-    rng = replicate_rng(42, 0)
-    parent = sample_parent(HardCoreParams(2.0, 0.7, ProcessKind.MATERN_II), 8.0, rng)
-    t1 = thin(parent, type1(0.7))
-    t2 = thin(parent, type2(0.7))
-    assert len(t1) <= len(t2) <= len(parent)
+    points, marks = window_parents(
+        HardCoreParams(2.0, 0.7, ProcessKind.MATERN_II), 8.0, 42)
+    t1 = thin(points, type1(0.7))
+    t2 = thin(points, type2(0.7), marks=marks)
+    assert len(t1) <= len(t2) <= len(points)
     t2_rows = {(x, y) for x, y in t2.points}
     assert all((x, y) in t2_rows for x, y in t1.points)
     # both survivor sets honor the hard core
@@ -159,7 +166,7 @@ def test_cell_thinning_matches_the_pair_path_on_whole_chunks(density, delta):
                                seed=int(10 * density))
         chunk = simulate._chunk_replicates(params, cfg)
         points, radii, keep, rep_local, marks = simulate._thin_chunk(
-            params, cfg, 5 * chunk, chunk)
+            params, cfg, 5 * chunk, chunk, True)
         assert marks is None
         assert np.array_equal(
             keep, pair_path_keep(points, rep_local, radii, delta, window))
@@ -276,16 +283,6 @@ def test_cell_thinning_at_cell_corners(delta):
     assert np.any(gap < delta) and np.any((gap > delta) & (gap < 1.3 * delta))
 
 
-def test_reliable_mask_is_inclusive_at_the_guard_line():
-    pat = pattern([[0.0, 0.0], [8.9, 0.0], [9.0, 0.0], [9.61, 0.0]])
-    mask = reliable_mask(pat, 1.0)
-    assert mask.tolist() == [True, True, True, False]
-    with pytest.raises(ValidationError):
-        reliable_mask(pat, 11.0)
-    with pytest.raises(ValidationError):
-        reliable_mask(pat, -0.1)
-
-
 # ---------------------------------------------------------------------------
 # Parent sampling and streams
 # ---------------------------------------------------------------------------
@@ -328,64 +325,59 @@ def test_replicate_rng_leaves_other_values_to_seed_sequence():
         assert replicate_rng(seed, replicate).bit_generator.state == want.state
 
 
-def test_sample_parent_basic_properties():
-    rng = replicate_rng(1, 0)
-    pat = sample_parent(type2(1.0), 6.0, rng)
-    assert len(pat) > 0
-    assert np.all(pat.radii <= 6.0)
-    assert np.all((pat.marks >= 0.0) & (pat.marks < 1.0))
-    assert len(np.unique(pat.marks)) == len(pat)
-    assert pat.window_radius == 6.0
+def test_window_parent_basic_properties():
+    points, marks = window_parents(type2(1.0), 6.0, 1)
+    assert len(points) > 0
+    assert np.all(np.hypot(points[:, 0], points[:, 1]) <= 6.0)
+    assert np.all((marks >= 0.0) & (marks < 1.0))
+    assert len(np.unique(marks)) == len(points)
     # marks are drawn for type II only
-    assert sample_parent(type1(1.0), 6.0, replicate_rng(1, 0)).marks is None
+    assert window_parents(type1(1.0), 6.0, 1)[1] is None
+    pat = sample_window(type2(1.0), SimulationConfig(6.0, 1, 1))
+    assert pat.window_radius == 6.0
 
 
-def test_sample_parent_count_matches_intensity():
+def test_window_parent_count_matches_intensity():
     params = HardCoreParams(3.0, 1.0, ProcessKind.MATERN_I)
-    counts = [len(sample_parent(params, 5.0, replicate_rng(8, k)))
-              for k in range(200)]
+    counts = [len(window_parents(params, 5.0, 8, k)[0]) for k in range(200)]
     want = 3.0 * math.pi * 25.0
     se = math.sqrt(want / 200.0)
     assert abs(float(np.mean(counts)) - want) < 4.0 * se
 
 
-def test_sample_parent_validation():
-    rng = replicate_rng(0, 0)
-    with pytest.raises(ValidationError):
-        sample_parent(type1(1.0), -1.0, rng)
-    with pytest.raises(ValidationError):
-        sample_parent(type1(1.0), math.inf, rng)
-
-
 @pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
-def test_sample_parent_draws_count_radii_angles_marks_in_order(kind):
+def test_window_parent_draws_count_radii_angles_marks_in_order(kind):
+    # the windowed stream's bitwise pin: separate uniform(lo, hi, n) draws
+    # of the squared radii, the angles and the marks, in that order
     params = HardCoreParams(1.5, 0.5, kind)
-    pat = sample_parent(params, 4.0, replicate_rng(5, 2))
+    points, marks = window_parents(params, 4.0, 5, replicate=2)
     rng = replicate_rng(5, 2)
     n = int(rng.poisson(1.5 * math.pi * 16.0))
     r = np.sqrt(rng.uniform(0.0, 16.0, n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
-    assert len(pat) == n > 0
-    assert np.array_equal(pat.points,
+    assert len(points) == n > 0
+    assert np.array_equal(points,
                           np.column_stack((r * np.cos(theta), r * np.sin(theta))))
     if kind is ProcessKind.MATERN_II:
-        assert np.array_equal(pat.marks, rng.uniform(0.0, 1.0, n))
+        assert np.array_equal(marks, rng.uniform(0.0, 1.0, n))
     else:
-        assert pat.marks is None
+        assert marks is None
 
 
-def test_sample_parent_is_uniform_on_the_disk():
-    pat = sample_parent(type1(1.0), 5.0, replicate_rng(17, 0))
-    assert len(pat) > 50
+def test_window_parent_is_uniform_on_the_disk():
+    points, _ = window_parents(type1(1.0), 5.0, 17)
+    assert len(points) > 50
     # uniform area density: (r/W)^2 and the angle over 2*pi are U(0, 1)
-    angles = np.arctan2(pat.points[:, 1], pat.points[:, 0]) % (2.0 * math.pi)
-    for u in ((pat.radii / 5.0) ** 2, angles / (2.0 * math.pi)):
+    radii = np.hypot(points[:, 0], points[:, 1])
+    angles = np.arctan2(points[:, 1], points[:, 0]) % (2.0 * math.pi)
+    for u in ((radii / 5.0) ** 2, angles / (2.0 * math.pi)):
         assert stats.kstest(u, "uniform").pvalue > 1e-3
 
 
 def test_simulation_config_validation():
-    with pytest.raises(ValidationError):
-        SimulationConfig(window_radius=-1.0)
+    for window in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="window_radius"):
+            SimulationConfig(window_radius=window)
     with pytest.raises(ValidationError):
         SimulationConfig(window_radius=5.0, replicates=0)
     with pytest.raises(ValidationError):
@@ -394,8 +386,10 @@ def test_simulation_config_validation():
         SimulationConfig(window_radius=5.0, seed=-1)
     with pytest.raises(ValidationError):
         SimulationConfig(window_radius=5.0, seed=2**64)
-    # bool is an int, but True is neither a replicate count nor a seed
+    # bool is an int, but True is no window radius, replicate count or seed
     for flag in (True, False):
+        with pytest.raises(ValidationError, match="window_radius"):
+            SimulationConfig(window_radius=flag)
         with pytest.raises(ValidationError, match="replicates"):
             SimulationConfig(5.0, flag)
         with pytest.raises(ValidationError, match="seed"):
@@ -408,6 +402,10 @@ def test_window_must_reach_three_delta():
     with pytest.raises(ValidationError, match="3\\*delta"):
         sample_palm(params, SimulationConfig(window_radius=2.5))
     sample_palm(params, SimulationConfig(window_radius=3.0))
+    with pytest.raises(ValidationError, match="3\\*delta"):
+        estimate_intensity(params, SimulationConfig(window_radius=2.5))
+    # a single windowed pattern takes any window
+    assert len(sample_window(params, SimulationConfig(window_radius=2.5))) > 0
     assert default_window_radius(params) == pytest.approx(20.0, rel=1e-12)
     dense = HardCoreParams(4.0, 2.0, ProcessKind.MATERN_I)
     assert default_window_radius(dense) == pytest.approx(20.0, rel=1e-12)
@@ -461,8 +459,9 @@ def seam_replicates(params, cfg):
                                for side in (-1, 0)})
 
 
-# the ensembles of the bitwise test below: lambda_p*delta**2 = 0.96 is
-# thinned by pairs, and the dense type I case, at 2, by cells
+# the ensembles of the bitwise tests below, Palm and windowed:
+# lambda_p*delta**2 = 0.96 is thinned by pairs, and the dense type I case,
+# at 2, by cells
 ENSEMBLE_CASES = [
     pytest.param(ProcessKind.POISSON_HOLE, 1.5, 0.8,
                  id="ProcessKind.POISSON_HOLE"),
@@ -565,14 +564,15 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
         interior, origin_mark = np.empty(0), 0.1
     exterior = np.concatenate(block)
 
-    def fixed_parents(params, cfg, rng):
+    def fixed_parents(params, cfg, rng, palm):
+        assert palm
         return interior, exterior, origin_mark
 
     monkeypatch.setattr(simulate, "_draw_palm_parent", fixed_parents)
     params = HardCoreParams(1.0, 1.0, kind)
     cfg = SimulationConfig(window_radius=7.0, replicates=600, seed=0)
     # the parents as drawn are still both pairs just inside delta
-    drawn = simulate._thin_chunk(params, cfg, 0, 1)[0]
+    drawn = simulate._thin_chunk(params, cfg, 0, 1, True)[0]
     gaps = np.hypot(*(drawn[0::2] - drawn[1::2]).T)
     assert np.all((gaps < 1.0) & (gaps > 1.0 - 1e-12)), gaps
     # chunks of 128 replicates, whatever the parent budget: chunks of 20 or
@@ -652,9 +652,9 @@ def test_type2_palm_origin_mark_and_interior_follow_the_palm_law():
     interior = np.empty(cfg.replicates)
     for k in range(cfg.replicates):
         ball, beyond, origin_marks[k] = simulate._draw_palm_parent(
-            params, cfg, replicate_rng(cfg.seed, k))
+            params, cfg, replicate_rng(cfg.seed, k), True)
         rsq, _, marks, _ = simulate._palm_parents(
-            params, cfg, [ball, beyond], [origin_marks[k]])
+            params, cfg, [ball, beyond], [origin_marks[k]], True)
         inside = rsq < params.delta ** 2
         interior[k] = np.count_nonzero(inside)
         assert np.all(marks[inside] >= origin_marks[k])
@@ -665,6 +665,53 @@ def test_type2_palm_origin_mark_and_interior_follow_the_palm_law():
     want = a * (1.0 - mean_mark)
     se = np.std(interior, ddof=1) / math.sqrt(cfg.replicates)
     assert abs(np.mean(interior) - want) < 4.0 * se
+
+
+@pytest.mark.parametrize("sample", [sample_palm, sample_window])
+def test_sampled_replicate_must_be_a_nonnegative_int(sample):
+    params = HardCoreParams(1.5, 0.8, ProcessKind.MATERN_II)
+    cfg = SimulationConfig(window_radius=6.0, seed=3)
+    # bool is an int, and True would sample replicate 1
+    for bad in (-1, 1.5, True, False, "1", None, np.int64(1)):
+        with pytest.raises(ValidationError, match="replicate"):
+            sample(params, cfg, bad)
+    assert np.array_equal(sample(params, cfg, 1).points,
+                          sample(params, cfg, replicate=1).points)
+
+
+@pytest.mark.parametrize("kind, lam_p, delta", ENSEMBLE_CASES)
+def test_sample_window_keeps_what_the_rule_keeps(kind, lam_p, delta):
+    # the windowed pass, cells or pairs, keeps exactly the parents that
+    # the thinning rule keeps on that replicate's parents, in draw order
+    params = HardCoreParams(lam_p, delta, kind)
+    retained = 0
+    for window, seed, replicate in [(6.0, 3, 0), (6.0, 3, 7), (2.0, 1, 4)]:
+        cfg = SimulationConfig(window_radius=window, seed=seed)
+        pat = sample_window(params, cfg, replicate)
+        points, marks = window_parents(params, window, seed, replicate)
+        alive = ~simulate._dead_mask(params, points, marks)
+        assert np.array_equal(pat.points, points[alive])
+        if kind is ProcessKind.MATERN_II:
+            assert np.array_equal(pat.marks, marks[alive])
+        else:
+            assert pat.marks is None
+        assert pat.window_radius == window
+        retained += len(pat)
+        if kind is not ProcessKind.POISSON_HOLE:
+            assert pdist(pat.points).min(initial=math.inf) >= delta
+    assert retained > 0
+
+
+@pytest.mark.parametrize("kind, lam_p, delta", ENSEMBLE_CASES)
+def test_windowed_ensemble_matches_sample_window(kind, lam_p, delta):
+    # the ensemble estimate_intensity reduces, chunk seams included
+    params = HardCoreParams(lam_p, delta, kind)
+    cfg = SimulationConfig(window_radius=6.0, replicates=600, seed=5)
+    radii, rep_ids = simulate._ensemble(params, cfg, palm=False)
+    assert np.all(np.diff(rep_ids) >= 0)
+    for rep in seam_replicates(params, cfg):
+        pat = sample_window(params, cfg, rep)
+        assert np.array_equal(radii[rep_ids == rep], pat.radii), rep
 
 
 def test_dense_type2_palm_agrees_with_quadrature():
@@ -746,6 +793,47 @@ def test_stationary_intensity_estimate_matches_closed_form(kind):
     assert se > 0.0
     assert abs(value - want) < 4.0 * se
     assert abs(value - want) / want < 0.01
+
+
+@pytest.mark.parametrize("kind, want", [
+    (ProcessKind.MATERN_I, (0.41474180690810036, 0.0013138110948382922)),
+    (ProcessKind.MATERN_II, (1.008172445649973, 0.0014309777845073676)),
+])
+def test_stationary_intensity_estimate_is_pinned(kind, want):
+    # the values of the per-replicate windowed estimator this one replaced,
+    # to the bit
+    params = HardCoreParams(2.0, 0.5, kind)
+    cfg = SimulationConfig(window_radius=20.0, replicates=150, seed=1)
+    assert estimate_intensity(params, cfg) == want
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_stationary_intensity_counts_inclusively_at_w_minus_delta(kind,
+                                                                  monkeypatch):
+    # Every windowed replicate gets the same four parents, at least 7 apart:
+    # at radius exactly W - delta = 6, just beyond it, at 4, and on the
+    # window's edge at 8. The first and third are counted.
+    window, delta = 8.0, 2.0
+    u_rsq = np.array([36.0 / 64.0, np.nextafter(36.0 / 64.0, 1.0), 0.25, 1.0])
+    u_theta = np.array([0.0, 0.5, 0.25, 0.75])  # angles 0, pi, pi/2, 3*pi/2
+    block = [u_rsq, u_theta]
+    if kind is ProcessKind.MATERN_II:
+        block.append(np.array([0.4, 0.3, 0.2, 0.1]))
+    exterior = np.concatenate(block)
+
+    def fixed_parents(params, cfg, rng, palm):
+        assert not palm
+        return None, exterior, None
+
+    monkeypatch.setattr(simulate, "_draw_palm_parent", fixed_parents)
+    params = HardCoreParams(1.0, delta, kind)
+    cfg = SimulationConfig(window_radius=window, replicates=2, seed=0)
+    pat = sample_window(params, cfg)
+    assert pat.radii.tolist() == [6.0, np.sqrt(64.0 * u_rsq[1]), 4.0, 8.0]
+    assert pat.radii[1] > 6.0
+    value, std_error = estimate_intensity(params, cfg)
+    assert value == 2.0 / (math.pi * 6.0 * 6.0)
+    assert std_error == 0.0
 
 
 def test_palm_annulus_intensity_estimate():
