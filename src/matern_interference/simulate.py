@@ -19,16 +19,19 @@ Sampling is exact, not approximate: the type I Palm construction uses the
 fact that conditioning a Poisson parent on an empty exclusion ball just
 removes that ball from its domain, and the type II construction draws the
 origin's mark from its Palm law and then the exclusion ball's parents given
-that mark (see _draw_palm_parent). A windowed replicate is the same draw
-with a hole of radius 0 and no origin. Window truncation is corrected with
-an analytic tail that is unbiased because every process kind has exactly
-Poisson second-order structure beyond twice the hard-core distance.
+that mark (see _draw_palm_parent); the origin, retained by construction,
+kills the parents strictly within delta of it that carry a larger mark.
+A windowed replicate is the same draw with a hole of radius 0 and no
+origin. Window truncation is corrected with an analytic tail that is
+unbiased because every process kind has exactly Poisson second-order
+structure beyond twice the hard-core distance.
 
 Determinism contract: replicate k draws from the generator
 default_rng(SeedSequence(entropy=seed, spawn_key=(k,))), so results are
-independent of execution order, chunking, and parallelism. Its seed words
-are computed here with SeedSequence's documented mixing (replicate_rng),
-and a test pins them to NumPy's. The per-replicate draw order is fixed:
+independent of execution order, chunking, and parallelism. For k < 2**32
+its seed words are computed here (replicate_rng): NumPy's pool for the
+seed, cached, with k's one word mixed in by SeedSequence's documented
+mixing; a test pins them to NumPy's. The per-replicate draw order is fixed:
 (windowed, Poisson hole, type I) parent count, then one block of standard
 uniforms holding the squared radii, then the angles and, for a windowed
 type II replicate, the marks; (Palm type II) origin mark, interior count,
@@ -148,6 +151,10 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# mix_entropy's hash constants for a replicate's word: a pool of four takes
+# 16 hashmix steps before it, so pool word i mixes in the word xored with
+# _INIT_A*_MULT_A**(16 + i) and multiplied by _INIT_A*_MULT_A**(17 + i)
+_REPLICATE_HASH = tuple(_INIT_A * _MULT_A**(16 + i) & _MASK32 for i in range(5))
 # generate_state's hash constants for the eight 32-bit output words: word i
 # is xored with _INIT_B*_MULT_B**i and multiplied by _INIT_B*_MULT_B**(i + 1)
 (_OX0, _OX1, _OX2, _OX3, _OX4, _OX5, _OX6, _OX7) = (
@@ -157,83 +164,35 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PACK_WORDS = struct.Struct("=4Q").pack
 
 
-def _uint32_words(value: int) -> tuple[int, ...]:
-    """SeedSequence's little-endian 32-bit words of value (one for 0)."""
-    return (value & _MASK32, value >> 32) if value >> 32 else (value,)
-
-
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    value ^= hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> 16, hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return result ^ result >> 16
-
-
 @lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[int, ...]:
-    """SeedSequence(entropy=seed, spawn_key=(k,))'s pool after the seed's
-    words, zero-padded to the pool size of four, are mixed in, followed by
-    the (xor, multiply) hash constants that mix_entropy goes on to apply to
-    the replicate's first and second word, one pair per pool word. Only
-    the replicate's words remain to be mixed."""
-    words = _uint32_words(seed)
-    hash_const = _INIT_A
-    pool = []
-    for word in words + (0,) * (4 - len(words)):
-        word, hash_const = _hashmix(word, hash_const)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                word, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], word)
-    consts = []
-    for _ in range(8):
-        consts.append(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        consts.append(hash_const)
-    return (*pool, *consts)
+    """SeedSequence(entropy=seed, spawn_key=(k,))'s pool before the
+    replicate's word is mixed in. A spawn key pads the seed's 32-bit words
+    with zeros to the pool size of four, which SeedSequence(seed) mixes
+    the same, so this is that sequence's pool."""
+    return tuple(map(int, np.random.SeedSequence(seed).pool))
 
 
 def _pcg64_seed_words(seed: int, replicate: int) -> np.ndarray:
     """SeedSequence(entropy=seed, spawn_key=(replicate,))
-    .generate_state(4, np.uint64) for 0 <= seed, replicate < 2**64: the
-    replicate's words mixed into the seed's cached pool, unrolled."""
-    (p0, p1, p2, p3, a0, b0, a1, b1, a2, b2, a3, b3,
-     a4, b4, a5, b5, a6, b6, a7, b7) = _seed_pool(seed)
+    .generate_state(4, np.uint64) for 0 <= seed < 2**64 and
+    0 <= replicate < 2**32: the replicate's one word mixed into the seed's
+    cached pool, unrolled."""
+    p0, p1, p2, p3 = _seed_pool(seed)
+    h0, h1, h2, h3, h4 = _REPLICATE_HASH
     mask, mix_l, mix_r = _MASK32, _MIX_L, _MIX_R
-    k = replicate & mask
-    w = (k ^ a0) * b0 & mask
+    w = (replicate ^ h0) * h1 & mask
     p0 = (mix_l * p0 - mix_r * (w ^ w >> 16)) & mask
     p0 ^= p0 >> 16
-    w = (k ^ a1) * b1 & mask
+    w = (replicate ^ h1) * h2 & mask
     p1 = (mix_l * p1 - mix_r * (w ^ w >> 16)) & mask
     p1 ^= p1 >> 16
-    w = (k ^ a2) * b2 & mask
+    w = (replicate ^ h2) * h3 & mask
     p2 = (mix_l * p2 - mix_r * (w ^ w >> 16)) & mask
     p2 ^= p2 >> 16
-    w = (k ^ a3) * b3 & mask
+    w = (replicate ^ h3) * h4 & mask
     p3 = (mix_l * p3 - mix_r * (w ^ w >> 16)) & mask
     p3 ^= p3 >> 16
-    k = replicate >> 32
-    if k:  # a second word only past 2**32 - 1
-        w = (k ^ a4) * b4 & mask
-        p0 = (mix_l * p0 - mix_r * (w ^ w >> 16)) & mask
-        p0 ^= p0 >> 16
-        w = (k ^ a5) * b5 & mask
-        p1 = (mix_l * p1 - mix_r * (w ^ w >> 16)) & mask
-        p1 ^= p1 >> 16
-        w = (k ^ a6) * b6 & mask
-        p2 = (mix_l * p2 - mix_r * (w ^ w >> 16)) & mask
-        p2 ^= p2 >> 16
-        w = (k ^ a7) * b7 & mask
-        p3 = (mix_l * p3 - mix_r * (w ^ w >> 16)) & mask
-        p3 ^= p3 >> 16
     # generate_state cycles through the pool twice; 64-bit word j is
     # 32-bit words 2j (low) and 2j + 1 (high)
     w0 = (p0 ^ _OX0) * _OM0 & mask
@@ -267,11 +226,12 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     """The stream for one replicate; the (seed, replicate) pair fully
     determines it regardless of how many other replicates run. It is
     default_rng(SeedSequence(entropy=seed, spawn_key=(replicate,))), with
-    the seed words for in-range ints computed here (_pcg64_seed_words):
-    building the SeedSequence cost more than the rest of a sparse
-    replicate. Anything else goes through SeedSequence and its errors."""
+    the seed words computed here (_pcg64_seed_words) for ints
+    0 <= seed < 2**64 and 0 <= replicate < 2**32: building the SeedSequence
+    cost more than the rest of a sparse replicate. Anything else goes
+    through SeedSequence and its errors."""
     if (type(seed) is int and type(replicate) is int
-            and 0 <= seed < 2**64 and 0 <= replicate < 2**64):
+            and 0 <= seed < 2**64 and 0 <= replicate < 2**32):
         seed_seq = _SeedWords(_pcg64_seed_words(seed, replicate))
     else:
         seed_seq = np.random.SeedSequence(entropy=seed, spawn_key=(replicate,))
@@ -484,7 +444,9 @@ def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
     and given m the ball holds a Poisson number of parents of mean
     a*(1 - m), with marks uniform on (m, 1) (Stoyan, Kendall and Mecke,
     Stochastic Geometry and its Applications). Beyond the ball the parents
-    are unconditioned.
+    are unconditioned. The origin is retained whatever the other parents
+    do, since it carries the smallest mark in its ball; _thin_chunk only
+    lets it kill the parents it competes with.
     """
     delta, lam_p = params.delta, params.lambda_p
     hole, r_outer = _parent_disk(params, cfg, palm)
@@ -608,7 +570,7 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     The result is identical to looping over sample_palm one replicate at a
     time."""
     _check_window(params, cfg)
-    radii, rep_ids = _ensemble(params, cfg, palm=True)
+    radii, rep_ids = _ensemble(params, cfg, True, _retained)
     return PalmEnsemble(
         radii=radii,
         rep_ids=rep_ids,
@@ -618,9 +580,15 @@ def run_palm_ensemble(params: HardCoreParams, cfg: SimulationConfig) -> PalmEnse
     )
 
 
-def _ensemble(params: HardCoreParams, cfg: SimulationConfig, palm: bool):
-    """(radii, rep_ids) of every retained in-window point of cfg.replicates
-    Palm (palm) or windowed replicates, grouped by replicate.
+def _ensemble(params: HardCoreParams, cfg: SimulationConfig, palm: bool,
+              reduce):
+    """Draw and thin cfg.replicates Palm (palm) or windowed replicates and
+    reduce each chunk as it is thinned: reduce(radii, rep_local,
+    chunk_start, chunk) gets the chunk's retained in-window radii and their
+    replicates' indices in the chunk, and returns a tuple of arrays. Each
+    component is concatenated over the chunks in replicate order; with
+    _retained, that is (radii, rep_ids) of every retained in-window point,
+    grouped by replicate.
 
     Replicates are thinned in chunks of about _PARENT_BUDGET expected
     parents (see _chunk_replicates): each chunk is laid out along the x
@@ -639,10 +607,21 @@ def _ensemble(params: HardCoreParams, cfg: SimulationConfig, palm: bool):
     size = _chunk_replicates(params, cfg)
     starts = range(0, cfg.replicates, size)
     with ThreadPoolExecutor(max_workers=_ensemble_threads(len(starts))) as pool:
-        chunks = list(pool.map(partial(_ensemble_chunk, params, cfg, palm, size),
-                               starts))
-    radii, rep_ids = zip(*chunks)
-    return np.concatenate(radii), np.concatenate(rep_ids)
+        chunks = list(pool.map(
+            partial(_ensemble_chunk, params, cfg, palm, size, reduce), starts))
+    return tuple(map(np.concatenate, zip(*chunks)))
+
+
+def _retained(radii: np.ndarray, rep_local: np.ndarray, chunk_start: int,
+              chunk: int):
+    """A chunk's retained in-window radii and their replicate ids."""
+    return radii, rep_local + chunk_start
+
+
+def _count_within(r: float, radii: np.ndarray, rep_local: np.ndarray,
+                  chunk_start: int, chunk: int):
+    """Each of a chunk's replicates' retained points within radius r."""
+    return (np.bincount(rep_local[radii <= r], minlength=chunk),)
 
 
 def _chunk_replicates(params: HardCoreParams, cfg: SimulationConfig) -> int:
@@ -674,9 +653,14 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     its distance from the origin, True where it is retained and in the
     window, its replicate's index in the chunk, and its mark (marks is None
     unless type II). Each replicate only draws its uniforms; the geometry
-    is formed once per chunk (_palm_parents)."""
+    is formed once per chunk (_palm_parents).
+
+    A Palm type II replicate's origin is no row of the pair search. It
+    would only kill the parents i with x_i**2 + y_i**2 < delta**2 (the
+    pair test, with dx = x_i exactly) and a larger mark; its own fate is
+    known, and the parents' pairs do not depend on it. So those parents
+    are killed directly, with the same result to the bit."""
     delta, r_window = params.delta, cfg.window_radius
-    # each Palm type II replicate's retained origin competes with its mark
     with_origin = palm and params.kind is ProcessKind.MATERN_II
     blocks = []
     origin_marks = [] if with_origin else None
@@ -700,28 +684,24 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     spacing = 2.0 * (r_window + delta) + 2.0 * delta + 1.0
     shifted = points.copy()
     shifted[:, 0] += rep_local * spacing
-    competitors = points
+    dead = _dead_mask(params, points, marks, shifted)
     if with_origin:
-        origins = np.column_stack((np.arange(chunk) * spacing, np.zeros(chunk)))
-        competitors = np.concatenate((points, np.zeros((chunk, 2))))
-        marks = np.concatenate((marks, origin_marks))
-        shifted = np.concatenate((shifted, origins))
-    dead = _dead_mask(params, competitors, marks, shifted)[:len(points)]
+        x, y = points.T
+        dead |= ((x * x + y * y < delta * delta)
+                 & (np.asarray(origin_marks)[rep_local] < marks))
     keep = ~dead & (radii <= r_window)
-    if marks is not None:
-        marks = marks[:len(points)]
     return points, radii, keep, rep_local, marks
 
 
 def _ensemble_chunk(params: HardCoreParams, cfg: SimulationConfig, palm: bool,
-                    size: int, chunk_start: int):
+                    size: int, reduce, chunk_start: int):
     """Draw and thin replicates [chunk_start, chunk_start + size), as
-    _thin_chunk does; _ensemble sizes chunks by their expected parents.
-    Returns the retained in-window radii and their replicate ids."""
+    _thin_chunk does, and reduce the retained in-window points (see
+    _ensemble, which sizes chunks by their expected parents)."""
     chunk = min(size, cfg.replicates - chunk_start)
     _, radii, keep, rep_local, _ = _thin_chunk(params, cfg, chunk_start, chunk,
                                                palm)
-    return radii[keep], rep_local[keep] + chunk_start
+    return reduce(radii[keep], rep_local[keep], chunk_start, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -839,9 +819,9 @@ def estimate_intensity(params: HardCoreParams,
     by counting the points at least delta inside the window edge, where
     the thinning decision is exact, over the area they lie in."""
     _check_window(params, cfg)
-    radii, rep_ids = _ensemble(params, cfg, palm=False)
     core_radius = cfg.window_radius - params.delta
     core_area = math.pi * core_radius * core_radius
-    counts = np.bincount(rep_ids[radii <= core_radius], minlength=cfg.replicates)
+    # counted chunk by chunk, so memory does not grow with the replicates
+    counts, = _ensemble(params, cfg, False, partial(_count_within, core_radius))
     mean, std_error = _mean_se(counts / core_area)
     return float(mean), float(std_error)

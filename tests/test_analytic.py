@@ -373,6 +373,14 @@ def test_k_function_zero_below_hard_core_distance():
     assert k_function(P21_T2, 0.7) == 0.0
 
 
+@pytest.mark.parametrize("kind", list(ProcessKind))
+def test_k_function_and_derivative_refuse_negative_r(kind):
+    params = HardCoreParams(2.0, 1.0, kind)
+    for f in (k_function, k_derivative):
+        with pytest.raises(ValidationError, match="r must be >= 0"):
+            f(params, -0.5)
+
+
 def test_k_function_delta_zero_is_poisson():
     p = HardCoreParams(2.0, 0.0, ProcessKind.MATERN_I)
     assert k_function(p, 3.0) == pytest.approx(9.0 * math.pi, rel=1e-14)

@@ -1,6 +1,7 @@
 """Command-line surface: manifest headers, row schemas, exit codes, and
 byte-for-byte reproduction through the rerun subcommand."""
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -14,7 +15,7 @@ import pytest
 from matern_interference import __version__
 from matern_interference.analytic import affine_v_bounds
 from matern_interference.cli import main
-from matern_interference.errors import ToleranceError
+from matern_interference.errors import ApproximationWarning, ToleranceError
 from matern_interference.interference import (
     NU_TYPE2_UNIVERSAL,
     EirMethod,
@@ -30,6 +31,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def approximation_warning(sparse=True):
+    """Expect figure1's one ApproximationWarning for its sparse rows."""
+    if not sparse:
+        return contextlib.nullcontext()
+    return pytest.warns(ApproximationWarning, match="inaccurate")
 
 
 def csv_rows(stdout):
@@ -548,7 +556,8 @@ def test_figure1_dense_type1_quadrature_matches_oracle(capsys):
 
 
 def test_figure1_rows(capsys):
-    code, out, _ = run_cli(capsys, "figure1", "--steps", "5")
+    with approximation_warning():
+        code, out, _ = run_cli(capsys, "figure1", "--steps", "5")
     assert code == 0
     rows, fields = csv_rows(out)
     assert fields == ["delta", "poisson_hole", "matern2_upper_bound",
@@ -564,16 +573,20 @@ def test_figure1_rows(capsys):
         assert float(row["matern2_quadrature"]) <= float(row["matern2_upper_bound"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["--steps", "20"],
-    ["--lambda-p", "4", "--delta-min", "7", "--delta-max", "9"],
-    ["--lambda-p", "1.5", "--alpha", "4", "--r0", "0.05", "--steps", "4"],
+@pytest.mark.parametrize("argv, sparse", [
+    pytest.param(["--steps", "20"], True, id="argv0"),
+    pytest.param(["--lambda-p", "4", "--delta-min", "7", "--delta-max", "9"],
+                 False, id="argv1"),
+    pytest.param(["--lambda-p", "1.5", "--alpha", "4", "--r0", "0.05",
+                  "--steps", "4"], True, id="argv2"),
 ])
-def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, tmp_path, capsys):
+def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, sparse, tmp_path,
+                                                            capsys):
     # JSON keeps every bit, so each curve is compared with its product exactly
     path = tmp_path / "fig.json"
-    code, out, err = run_cli(capsys, "figure1", *argv, "--format", "json",
-                             "--out", str(path))
+    with approximation_warning(sparse):
+        code, out, err = run_cli(capsys, "figure1", *argv, "--format", "json",
+                                 "--out", str(path))
     assert code == 0, err
     text = path.read_text(encoding="utf-8")
     header = json.loads(text.split("\n", 1)[0][2:])
@@ -597,7 +610,10 @@ def test_figure1_curves_are_the_poisson_hole_times_each_eir(argv, tmp_path, caps
         assert row["matern2_quadrature"] == ref * eir(params2, pathloss).eir_linear
         assert row["matern1_approximation"] == ref * approx.eir_linear
     again = tmp_path / "again.json"
-    assert run_cli(capsys, "rerun", "--manifest", str(path), "--out", str(again))[0] == 0
+    with approximation_warning(sparse):
+        code = run_cli(capsys, "rerun", "--manifest", str(path), "--out",
+                       str(again))[0]
+    assert code == 0
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -642,10 +658,12 @@ def test_json_format_mirrors_csv(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    _, stdout_text, _ = run_cli(capsys, "figure1", "--steps", "3")
+    with approximation_warning():
+        _, stdout_text, _ = run_cli(capsys, "figure1", "--steps", "3")
     path = tmp_path / "fig.csv"
-    code, out, _ = run_cli(capsys, "figure1", "--steps", "3",
-                           "--out", str(path))
+    with approximation_warning():
+        code, out, _ = run_cli(capsys, "figure1", "--steps", "3",
+                               "--out", str(path))
     assert code == 0
     assert out == ""  # everything went to the file
     assert path.read_text(encoding="utf-8") == stdout_text
@@ -717,6 +735,45 @@ def test_rerun_rejects_manifest_with_a_string_for_a_number(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "lambda_p='2'" in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["bounds", "--alpha", "3"], "--lambda-p and --delta are required"),
+    (["figure1", "--delta-min", "0"], "need 0 < delta-min"),
+])
+def test_refused_sweeps_exit_2(argv, reason, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert reason in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("# {not json", "malformed manifest line"),
+    ('# {"command":"eir","params":[1, 2]}', "params must be a JSON object"),
+])
+def test_rerun_rejects_a_malformed_manifest(line, reason, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(line + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "rerun", "--manifest", str(bad))
+    assert code == 2
+    assert out == ""
+    assert reason in err
+
+
+def test_mc_interference_of_one_replicate_reports_no_error(capsys):
+    # one replicate gives no spread to estimate: std_error is 0 and the
+    # interval is the mean itself
+    code, out, err = run_cli(capsys, "interference", "--process", "matern1",
+                             "--lambda-p", "1", "--delta", "1", "--alpha", "3",
+                             "--method", "mc", "--replicates", "1")
+    assert code == 0, err
+    (row,), _ = csv_rows(out)
+    assert row["replicates"] == "1"
+    assert float(row["std_error"]) == 0.0
+    assert row["ci_low"] == row["mean"] == row["ci_high"]
+    assert float(row["mean"]) > float(row["tail_correction"]) > 0.0
 
 
 def test_validation_error_exits_2(capsys):

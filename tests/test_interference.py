@@ -292,6 +292,18 @@ def test_eir_affine_bound_dense_and_refusals():
         eir_affine_bound(T1_21, tab, tangent)
 
 
+def test_eir_refuses_a_method_name_and_closed_forms_at_delta_zero():
+    # the method is an EirMethod, not its value
+    with pytest.raises(UnsupportedMethodError, match="unknown EIR method"):
+        eir(T1_21, PL3, "quadrature")
+    no_core = HardCoreParams(2.0, 0.0, ProcessKind.MATERN_I)
+    for line in affine_v_bounds():
+        with pytest.raises(ValidationError, match="requires delta > 0"):
+            eir_affine_bound(no_core, PL3, line)
+    with pytest.raises(ValidationError, match="requires delta > 0"):
+        eir(no_core, PL3, EirMethod.APPROXIMATION)
+
+
 def test_h_bound_requires_hard_core():
     chord, _ = affine_v_bounds()
     with pytest.raises(ValidationError):

@@ -217,6 +217,16 @@ def test_power_law_radial_integral_across_cutoff():
     assert pl.radial_integral(0.0, 0.5) == pytest.approx(0.125, rel=1e-14)
 
 
+@pytest.mark.parametrize("loss", [
+    PowerLawPathLoss(alpha=3.0),
+    PowerLawPathLoss(alpha=3.0, r0=1.0),
+    TabulatedPathLoss((0.0, 1.0, 2.0), (1.0, 0.5, 0.0)),
+])
+def test_radial_integral_refuses_a_reversed_range(loss):
+    with pytest.raises(ValidationError, match="bad radial integration range"):
+        loss.radial_integral(2.0, 1.0)
+
+
 def test_power_law_divergence_without_cutoff():
     pl = PowerLawPathLoss(alpha=3.0, r0=0.0)
     with pytest.raises(ValidationError):

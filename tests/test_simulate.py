@@ -318,11 +318,34 @@ def test_replicate_rng_leaves_other_values_to_seed_sequence():
         replicate_rng(-1, 0)
     with pytest.raises(ValueError, match="non-negative"):
         replicate_rng(0, -1)
-    # past 2**64, and NumPy integers, take SeedSequence's own path
-    for seed, replicate in [(2**64, 3), (np.uint64(5), 3), (5, np.int64(3))]:
+    # seeds past 2**64, replicates past 2**32, and NumPy integers, take
+    # SeedSequence's own path
+    for seed, replicate in [(2**64, 3), (np.uint64(5), 3), (5, np.int64(3)),
+                            (5, 2**32), (5, 2**64 - 1)]:
         want = np.random.PCG64(np.random.SeedSequence(entropy=seed,
                                                       spawn_key=(replicate,)))
         assert replicate_rng(seed, replicate).bit_generator.state == want.state
+
+
+def test_an_ensemble_builds_the_seed_sequence_once(monkeypatch):
+    # the seed's pool is mixed once and cached; each replicate only mixes
+    # its own word into it
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    simulate._seed_pool.cache_clear()
+    params = HardCoreParams(0.5, 1.0, ProcessKind.MATERN_II)
+    cfg = SimulationConfig(window_radius=3.0, replicates=200, seed=987654321)
+    # one chunk: two threads may both build a fresh seed's pool before
+    # either caches it, which costs a build and no bit
+    assert simulate._chunk_replicates(params, cfg) == 200
+    assert run_palm_ensemble(params, cfg).radii.size > 0
+    assert len(built) <= 1
 
 
 def test_window_parent_basic_properties():
@@ -588,6 +611,88 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
     assert np.array_equal(ens.radii, np.tile(want, 600))
 
 
+def origin_competing_keep(params, points, marks, rep_local, origin_marks,
+                          radii, r_window):
+    """The keep mask of a Palm type II chunk with each replicate's origin
+    appended to the thinning rule as a competitor at (0, 0), one replicate
+    at a time."""
+    dead = np.zeros(len(points), dtype=bool)
+    for rep, origin_mark in enumerate(origin_marks):
+        at = rep_local == rep
+        with_origin = np.concatenate((points[at], np.zeros((1, 2))))
+        dead[at] = simulate._dead_mask(params, with_origin,
+                                       np.append(marks[at], origin_mark))[:-1]
+    return ~dead & (radii <= r_window)
+
+
+def recorded_origin_marks(monkeypatch):
+    """The origin marks that _draw_palm_parent hands out, in draw order."""
+    origin_marks = []
+    draw = simulate._draw_palm_parent
+
+    def recorded(*args):
+        interior, exterior, origin_mark = draw(*args)
+        origin_marks.append(origin_mark)
+        return interior, exterior, origin_mark
+
+    monkeypatch.setattr(simulate, "_draw_palm_parent", recorded)
+    return origin_marks
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0, 5.0])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_type2_origin_matches_an_origin_competitor_on_whole_chunks(
+        density, delta, monkeypatch):
+    params = HardCoreParams(density / delta**2, delta, ProcessKind.MATERN_II)
+    origin_marks = recorded_origin_marks(monkeypatch)
+    killed_near_origin = 0
+    for window in (3.0 * delta, 7.0 * delta, default_window_radius(params)):
+        cfg = SimulationConfig(window_radius=window, replicates=10**6,
+                               seed=int(10 * density) + 3)
+        chunk = simulate._chunk_replicates(params, cfg)
+        origin_marks.clear()
+        points, radii, keep, rep_local, marks = simulate._thin_chunk(
+            params, cfg, 3 * chunk, chunk, True)
+        assert len(origin_marks) == chunk
+        want = origin_competing_keep(params, points, marks, rep_local,
+                                     origin_marks, radii, window)
+        assert np.array_equal(keep, want), np.flatnonzero(keep != want)
+        # every parent drawn inside the exclusion ball dies to the origin
+        assert not np.any(keep & (radii < delta))
+        killed_near_origin += np.count_nonzero(radii < delta)
+    assert killed_near_origin > 0
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_type2_origin_kills_strictly_inside_delta_by_mark(delta, monkeypatch):
+    # Three replicates with the origin's mark 0.5, each holding two interior
+    # parents of one mark, 0.25, 0.5 or 0.75: one at x*x + y*y exactly
+    # delta**2 (angle 0), one just below it (angle pi). delta is a power of
+    # two, so both squares are exact. Only the parent just inside delta
+    # with the larger mark dies.
+    below = 1.0 - 2.0**-52
+    blocks = iter([np.array([1.0, below, 0.0, 0.5, u, u])
+                   for u in (-0.5, 0.0, 0.5)])  # marks 0.5 + 0.5*u
+
+    def planted(params, cfg, rng, palm):
+        assert palm
+        return next(blocks), np.empty(0), 0.5
+
+    monkeypatch.setattr(simulate, "_draw_palm_parent", planted)
+    params = HardCoreParams(1.0, delta, ProcessKind.MATERN_II)
+    cfg = SimulationConfig(window_radius=3.0 * delta, replicates=3, seed=0)
+    points, radii, keep, rep_local, marks = simulate._thin_chunk(
+        params, cfg, 0, 3, True)
+    x, y = points.T
+    assert np.array_equal(x * x + y * y < delta * delta, [False, True] * 3)
+    assert np.array_equal(x[0::2] * x[0::2] + y[0::2] * y[0::2],
+                          np.full(3, delta * delta))
+    assert marks.tolist() == [0.25, 0.25, 0.5, 0.5, 0.75, 0.75]
+    assert keep.tolist() == [True, True, True, True, True, False]
+    assert np.array_equal(keep, origin_competing_keep(
+        params, points, marks, rep_local, [0.5] * 3, radii, 3.0 * delta))
+
+
 # sha256 of radii and rep_ids (little-endian float64 / int64) of
 # 600-replicate ensembles: the six criterion-6 parameter sets at their
 # seeds, and one more type II set. These pin the random stream itself,
@@ -707,7 +812,7 @@ def test_windowed_ensemble_matches_sample_window(kind, lam_p, delta):
     # the ensemble estimate_intensity reduces, chunk seams included
     params = HardCoreParams(lam_p, delta, kind)
     cfg = SimulationConfig(window_radius=6.0, replicates=600, seed=5)
-    radii, rep_ids = simulate._ensemble(params, cfg, palm=False)
+    radii, rep_ids = simulate._ensemble(params, cfg, False, simulate._retained)
     assert np.all(np.diff(rep_ids) >= 0)
     for rep in seam_replicates(params, cfg):
         pat = sample_window(params, cfg, rep)
@@ -834,6 +939,24 @@ def test_stationary_intensity_counts_inclusively_at_w_minus_delta(kind,
     value, std_error = estimate_intensity(params, cfg)
     assert value == 2.0 / (math.pi * 6.0 * 6.0)
     assert std_error == 0.0
+
+
+def test_stationary_intensity_memory_does_not_grow_with_replicates():
+    # each chunk is counted as it is thinned, so the peak is a chunk's
+    # arrays, not every survivor's radius and replicate id
+    import tracemalloc
+
+    params = HardCoreParams(2.0, 0.5, ProcessKind.MATERN_II)
+    estimate_intensity(params, SimulationConfig(20.0, 1, 1))  # imports
+    peaks = []
+    for replicates in (60, 480):
+        tracemalloc.start()
+        try:
+            estimate_intensity(params, SimulationConfig(20.0, replicates, 1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_palm_annulus_intensity_estimate():
