@@ -1,10 +1,10 @@
 """Closed-form second-order structure of the hard-core processes.
 
 Everything here is a deterministic function of the process parameters: the
-two-disk union area that drives pair retention, the retention probabilities
-for both thinning rules, the resulting K-functions and their radial
-derivatives, and the closed-form lower bound on K at twice the hard-core
-distance.
+two-disk union area that drives pair retention, the type II pair retention
+probability (type I's, exp(-lambda_p*V(r)), is inline in the K' closure),
+the resulting K-functions and their radial derivatives, and the
+closed-form lower bound on K at twice the hard-core distance.
 
 Transition integrals (over [delta, r] with r <= 2*delta) are taken in
 s = sqrt(2*delta - r). The union area has a square-root branch point at
@@ -45,7 +45,6 @@ __all__ = [
     "AffineVBound",
     "v_union",
     "affine_v_bounds",
-    "pair_retention_type1",
     "pair_retention_type2",
     "k_derivative",
     "k_function",
@@ -109,16 +108,6 @@ def affine_v_bounds() -> tuple[AffineVBound, AffineVBound]:
 # ---------------------------------------------------------------------------
 # Pair retention
 # ---------------------------------------------------------------------------
-
-
-def pair_retention_type1(params: HardCoreParams, u: float) -> float:
-    """Probability that two parent points at distance u both survive type I
-    thinning: both their exclusion disks must be empty of further parents."""
-    if u < 0:
-        raise ValidationError("u must be >= 0")
-    if u < params.delta:
-        return 0.0
-    return math.exp(-params.lambda_p * v_union(params.delta, u))
 
 
 def pair_retention_type2(params: HardCoreParams, r: float) -> float:

@@ -60,7 +60,6 @@ __all__ = [
     "mean_interference_quadrature",
     "mean_interference_inside_2delta",
     "interference_outside_2delta",
-    "mean_interference_poisson_hole",
     "h_integral",
     "h_bound",
     "eir_affine_bound",
@@ -293,17 +292,6 @@ def mean_interference_quadrature(params: HardCoreParams,
         return 2.0 * math.pi * params.lambda_p * pathloss.radial_integral(0.0, math.inf)
     inner = mean_interference_inside_2delta(params, pathloss)
     return inner + interference_outside_2delta(params, pathloss)
-
-
-def mean_interference_poisson_hole(params: HardCoreParams,
-                                   pathloss: PathLossModel) -> float:
-    """Mean interference of the reference process: a Poisson process whose
-    intensity matches the (thinned) process, observed outside a hole of
-    radius delta. Closed form 2*pi*lambda*delta^(2-alpha)/(alpha-2) for a
-    power law with cutoff below delta."""
-    unit = _at_unit_delta(params, pathloss)
-    return _times_intensity(params, unit,
-                            unit.loss.radial_integral(unit.delta, math.inf))
 
 
 # ---------------------------------------------------------------------------

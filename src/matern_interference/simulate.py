@@ -33,13 +33,13 @@ its seed words are computed here (replicate_rng): NumPy's pool for the
 seed, cached, with k's one word mixed in by SeedSequence's documented
 mixing; a test pins them to NumPy's. The per-replicate draw order is fixed:
 (windowed, Poisson hole, type I) parent count, then one block of standard
-uniforms holding the squared radii, then the angles and, for a windowed
-type II replicate, the marks; (Palm type II) origin mark, interior count,
-one block of interior squared radii, angles and marks, then exterior count
-and one block of its squared radii, angles and marks. A replicate only
-draws its blocks; scaling them into squared radii, angles and marks, and
-the coordinates, are elementwise and done once per chunk, which gives each
-replicate the bits of its own draws (_palm_parents). Ensembles are thinned
+uniforms with a row of n squared radii, a row of n angles and, for a
+windowed type II replicate, a row of n marks; (Palm type II) origin mark,
+interior count, one such block of interior squared radii, angles and
+marks, then exterior count and its block. A replicate only draws its
+blocks; scaling their rows into squared radii, angles and marks, and the
+coordinates, are elementwise and done once per chunk, which gives each
+replicate the bits of its own draws (_thin_chunk). Ensembles are thinned
 in chunks of about 2**13 expected parents (never less than one replicate)
 on up to two threads; neither the chunk size nor the thread count changes
 a single bit of the result, because every chunk draws from its own
@@ -427,15 +427,18 @@ def _parent_disk(params: HardCoreParams, cfg: SimulationConfig,
 def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
                       rng: np.random.Generator, palm: bool):
     """One replicate's parent configuration, as the standard uniforms it is
-    built from (see _palm_parents): conditioned on a retained point at the
+    built from (see _thin_chunk): conditioned on a retained point at the
     origin if palm, else a plain Poisson draw in the window.
 
-    Returns (interior, exterior, origin_mark). ``exterior`` holds the
-    parents of the annulus _parent_disk gives: one block of n squared
-    radii, n angles and, for type II, n marks. For a Palm type II
-    replicate, ``interior`` is the same block for the parents inside the
-    exclusion ball, drawn first, and ``origin_mark`` the origin's mark;
-    both are None otherwise.
+    Returns (interior, exterior, origin_mark). ``exterior`` holds the n
+    parents of the annulus _parent_disk gives, as one block of shape
+    (rows, n): row 0 their squared-radius uniforms, row 1 their angles and,
+    for type II, row 2 their marks. For a Palm type II replicate,
+    ``interior`` is the same block for the parents inside the exclusion
+    ball, drawn first, and ``origin_mark`` the origin's mark; both are None
+    otherwise. NumPy fills a (rows, n) block from the same doubles, in the
+    same order, as rows*n flat draws, so each row is what a separate draw
+    of n uniforms would give.
     Every draw is exact. A type I origin is retained iff its exclusion
     ball is empty, and a Poisson process conditioned on an empty ball is
     the process on the complement. A type II origin with mark m is
@@ -458,52 +461,11 @@ def _draw_palm_parent(params: HardCoreParams, cfg: SimulationConfig,
         # inverse of the mark's distribution function
         # (1 - exp(-a*m)) / (1 - exp(-a))
         origin_mark = -math.log1p(u0 * math.expm1(-a)) / a if a > 0 else u0
-        interior = rng.random(3 * int(rng.poisson(a * (1.0 - origin_mark))))
+        interior = rng.random((3, int(rng.poisson(a * (1.0 - origin_mark)))))
     area = math.pi * (r_outer * r_outer - hole * hole)
     n = int(rng.poisson(lam_p * area))
-    exterior = rng.random((3 if is_type2 else 2) * n)
+    exterior = rng.random((3 if is_type2 else 2, n))
     return interior, exterior, origin_mark
-
-
-def _palm_parents(params: HardCoreParams, cfg: SimulationConfig,
-                  blocks: list, origin_marks: Optional[list], palm: bool):
-    """(rsq, theta, marks, rep_local) of a chunk's parents from its
-    replicates' uniform blocks (see _draw_palm_parent), listed in draw
-    order: for Palm type II each replicate's interior block, then its
-    exterior block. marks is None unless type II, and rep_local is each
-    parent's replicate's index in the chunk.
-
-    Every map is elementwise and matches what the replicate's own draws
-    would give: uniform(lo, hi, n) is lo + (hi - lo)*random(n), so the
-    exterior's squared radii are hole^2 + (R^2 - hole^2)*u, its angles
-    2*pi*u (0 + 2*pi*u) and its marks u (0 + 1*u); the interior's squared
-    radii are delta^2*u and its marks m + (1 - m)*u.
-    """
-    hole, r_outer = _parent_disk(params, cfg, palm)
-    is_type2 = params.kind is ProcessKind.MATERN_II
-    width = 3 if is_type2 else 2
-    counts = np.fromiter(map(len, blocks), np.intp, len(blocks)) // width
-    starts = np.cumsum(counts) - counts
-    # the k-th parent of a block of n parents, the block starting at parent
-    # s, has its squared radius at width*s + k of the concatenated blocks,
-    # its angle n further on and its mark 2n further on
-    u = np.concatenate(blocks)
-    per_parent = np.repeat(counts, counts)
-    at = np.repeat((width - 1) * starts, counts)
-    at += np.arange(at.size)
-    u_rsq = np.take(u, at)
-    lo = hole * hole
-    rsq = lo + (r_outer * r_outer - lo) * u_rsq
-    theta = _TWO_PI * np.take(u, at + per_parent)
-    segments = np.arange(len(blocks))
-    marks = np.take(u, at + 2 * per_parent) if is_type2 else None
-    if not (palm and is_type2):
-        return rsq, theta, marks, np.repeat(segments, counts)
-    inside = np.repeat(segments % 2 == 0, counts)
-    rsq[inside] = lo * u_rsq[inside]
-    origin = np.repeat(np.asarray(origin_marks), counts[0::2])
-    marks[inside] = origin + (1.0 - origin) * marks[inside]
-    return rsq, theta, marks, np.repeat(segments // 2, counts)
 
 
 def _sample(params: HardCoreParams, cfg: SimulationConfig, replicate: int,
@@ -652,8 +614,10 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     Returns (points, radii, keep, rep_local, marks): every parent drawn,
     its distance from the origin, True where it is retained and in the
     window, its replicate's index in the chunk, and its mark (marks is None
-    unless type II). Each replicate only draws its uniforms; the geometry
-    is formed once per chunk (_palm_parents).
+    unless type II), listed in draw order: for Palm type II each
+    replicate's interior, then its exterior. Each replicate only draws its
+    (rows, n) blocks of uniforms (_draw_palm_parent); they are joined along
+    their rows and decoded once per chunk.
 
     A Palm type II replicate's origin is no row of the pair search. It
     would only kill the parents i with x_i**2 + y_i**2 < delta**2 (the
@@ -661,9 +625,11 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     known, and the parents' pairs do not depend on it. So those parents
     are killed directly, with the same result to the bit."""
     delta, r_window = params.delta, cfg.window_radius
-    with_origin = palm and params.kind is ProcessKind.MATERN_II
+    hole, r_outer = _parent_disk(params, cfg, palm)
+    is_type2 = params.kind is ProcessKind.MATERN_II
+    with_origin = palm and is_type2
     blocks = []
-    origin_marks = [] if with_origin else None
+    origin_marks = []
     for j in range(chunk):
         interior, exterior, origin_mark = _draw_palm_parent(
             params, cfg, replicate_rng(cfg.seed, chunk_start + j), palm)
@@ -672,8 +638,28 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
             origin_marks.append(origin_mark)
         blocks.append(exterior)
 
-    rsq, theta, marks, rep_local = _palm_parents(params, cfg, blocks,
-                                                 origin_marks, palm)
+    # Every map is elementwise, so a chunk gives each replicate the bits its
+    # own draws would: uniform(lo, hi, n) is lo + (hi - lo)*random(n), so
+    # the exterior's squared radii are hole^2 + (R^2 - hole^2)*u of row 0,
+    # its angles 2*pi*u (0 + 2*pi*u) of row 1 and its marks u (0 + 1*u) of
+    # row 2; the interior's squared radii are delta^2*u and its marks
+    # m + (1 - m)*u, with its replicate's origin mark m.
+    counts = np.fromiter((b.shape[1] for b in blocks), np.intp, len(blocks))
+    u = np.concatenate(blocks, axis=1)
+    lo = hole * hole
+    rsq = lo + (r_outer * r_outer - lo) * u[0]
+    theta = _TWO_PI * u[1]
+    marks = u[2] if is_type2 else None
+    segments = np.arange(len(blocks))
+    if with_origin:
+        rep_local = np.repeat(segments // 2, counts)
+        inside = np.repeat(segments % 2 == 0, counts)
+        origin = np.asarray(origin_marks)[rep_local]
+        rsq[inside] = lo * u[0][inside]
+        m = origin[inside]
+        marks[inside] = m + (1.0 - m) * marks[inside]
+    else:
+        rep_local = np.repeat(segments, counts)
     r = np.sqrt(rsq)
     points = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
     radii = np.hypot(points[:, 0], points[:, 1])
@@ -687,8 +673,7 @@ def _thin_chunk(params: HardCoreParams, cfg: SimulationConfig,
     dead = _dead_mask(params, points, marks, shifted)
     if with_origin:
         x, y = points.T
-        dead |= ((x * x + y * y < delta * delta)
-                 & (np.asarray(origin_marks)[rep_local] < marks))
+        dead |= (x * x + y * y < delta * delta) & (origin < marks)
     keep = ~dead & (radii <= r_window)
     return points, radii, keep, rep_local, marks
 
@@ -711,12 +696,13 @@ def _ensemble_chunk(params: HardCoreParams, cfg: SimulationConfig, palm: bool,
 
 def _mean_se(samples: np.ndarray):
     """The mean of per-replicate samples (along axis 0) and its standard
-    error, zero for a single replicate."""
+    error. One replicate has no spread to estimate the error from, so every
+    estimator refuses fewer than two."""
     n = len(samples)
-    mean = np.mean(samples, axis=0)
     if n < 2:
-        return mean, np.zeros_like(mean)
-    return mean, np.std(samples, axis=0, ddof=1) / math.sqrt(n)
+        raise ValidationError(
+            f"a standard error needs at least 2 replicates, got {n}")
+    return np.mean(samples, axis=0), np.std(samples, axis=0, ddof=1) / math.sqrt(n)
 
 
 def interference_estimate_from_ensemble(

@@ -18,7 +18,6 @@ from matern_interference.analytic import (
     k2delta_lower_bound,
     k_derivative,
     k_function,
-    pair_retention_type1,
     pair_retention_type2,
     v_union,
 )
@@ -143,16 +142,20 @@ def test_affine_lines_sandwich_v_on_transition_interval(delta):
 
 
 def test_pair_retention_type1_values():
-    assert pair_retention_type1(P21_T1, 0.5) == 0.0
+    # type I pair retention is e^(-lambda_p*V(r)) and (lambda/lambda_p)^2
+    # is e^(-2*lambda_p*pi*delta^2), so the pair correlation is
+    # K'(r)/(2*pi*r) = e^(lambda_p*(2*pi*delta^2 - V(r)))
+    def pair_correlation(r):
+        return k_derivative(P21_T1, r) / (2.0 * math.pi * r)
+
+    assert k_derivative(P21_T1, 0.5) == 0.0
     # beyond 2*delta the two exclusion disks are disjoint
-    assert pair_retention_type1(P21_T1, 2.0) == pytest.approx(
-        math.exp(-4.0 * math.pi), rel=1e-13)
-    assert pair_retention_type1(P21_T1, 3.7) == pytest.approx(
-        math.exp(-4.0 * math.pi), rel=1e-13)
-    assert pair_retention_type1(P21_T1, 1.5) == pytest.approx(
-        math.exp(-2.0 * v_union(1.0, 1.5)), rel=1e-13)
+    assert pair_correlation(2.0) == pytest.approx(1.0, rel=1e-13)
+    assert pair_correlation(3.7) == pytest.approx(1.0, rel=1e-13)
+    assert pair_correlation(1.5) == pytest.approx(
+        math.exp(2.0 * (2.0 * math.pi - v_union(1.0, 1.5))), rel=1e-13)
     with pytest.raises(ValidationError):
-        pair_retention_type1(P21_T1, -1.0)
+        k_derivative(P21_T1, -1.0)
 
 
 def test_pair_retention_type2_domain():

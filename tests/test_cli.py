@@ -762,18 +762,20 @@ def test_rerun_rejects_a_malformed_manifest(line, reason, tmp_path, capsys):
     assert reason in err
 
 
-def test_mc_interference_of_one_replicate_reports_no_error(capsys):
-    # one replicate gives no spread to estimate: std_error is 0 and the
-    # interval is the mean itself
-    code, out, err = run_cli(capsys, "interference", "--process", "matern1",
-                             "--lambda-p", "1", "--delta", "1", "--alpha", "3",
-                             "--method", "mc", "--replicates", "1")
+def test_mc_interference_refuses_one_replicate(capsys):
+    # one replicate gives no spread to estimate a standard error from, so
+    # no interval is printed; two are enough
+    argv = ["interference", "--process", "matern1", "--lambda-p", "1",
+            "--delta", "1", "--alpha", "3", "--method", "mc", "--replicates"]
+    code, out, err = run_cli(capsys, *argv, "1")
+    assert code == 2
+    assert out == ""
+    assert "at least 2 replicates" in err
+    code, out, err = run_cli(capsys, *argv, "2")
     assert code == 0, err
     (row,), _ = csv_rows(out)
-    assert row["replicates"] == "1"
-    assert float(row["std_error"]) == 0.0
-    assert row["ci_low"] == row["mean"] == row["ci_high"]
-    assert float(row["mean"]) > float(row["tail_correction"]) > 0.0
+    assert row["replicates"] == "2"
+    assert float(row["std_error"]) >= 0.0
 
 
 def test_validation_error_exits_2(capsys):

@@ -27,7 +27,6 @@ from matern_interference.interference import (
     h_integral,
     interference_outside_2delta,
     mean_interference_inside_2delta,
-    mean_interference_poisson_hole,
     mean_interference_quadrature,
 )
 from matern_interference.models import (
@@ -116,21 +115,21 @@ def test_inside_2delta_poisson_hole_closed_form():
 
 
 def test_poisson_hole_reference_closed_form():
-    assert mean_interference_poisson_hole(HOLE_21, PL3) == pytest.approx(
+    assert eir(HOLE_21, PL3).mean_poisson_hole == pytest.approx(
         4.0 * math.pi, rel=1e-14)
     # matched intensity: thinned processes use their own density
     want = 2.0 * math.pi * 2.0 * math.exp(-2.0 * math.pi)
-    assert mean_interference_poisson_hole(T1_21, PL3) == pytest.approx(
+    assert eir(T1_21, PL3).mean_poisson_hole == pytest.approx(
         want, rel=1e-14)
     # for alpha = 3, delta = 1 the hole mean is exactly twice the tail mean
-    assert mean_interference_poisson_hole(T1_21, PL3) == pytest.approx(
+    assert eir(T1_21, PL3).mean_poisson_hole == pytest.approx(
         2.0 * interference_outside_2delta(T1_21, PL3), rel=1e-14)
 
 
 def test_poisson_hole_reference_ignores_cutoff_below_delta():
     with_cutoff = PowerLawPathLoss(3.0, 0.5)
-    assert mean_interference_poisson_hole(T1_21, with_cutoff) == \
-        mean_interference_poisson_hole(T1_21, PL3)
+    assert eir(T1_21, with_cutoff).mean_poisson_hole == \
+        eir(T1_21, PL3).mean_poisson_hole
 
 
 def test_total_mean_is_sum_of_pieces():
@@ -142,7 +141,7 @@ def test_total_mean_is_sum_of_pieces():
 
 def test_total_mean_poisson_hole_matches_closed_form():
     got = mean_interference_quadrature(HOLE_21, PL3)
-    assert got == pytest.approx(mean_interference_poisson_hole(HOLE_21, PL3),
+    assert got == pytest.approx(eir(HOLE_21, PL3).mean_poisson_hole,
                                 rel=1e-9)
 
 
@@ -160,7 +159,7 @@ def test_total_mean_delta_zero_needs_bounded_loss():
 def test_cutoff_above_delta_rejected():
     bad = PowerLawPathLoss(3.0, 1.5)
     for fn in (mean_interference_inside_2delta, interference_outside_2delta,
-               mean_interference_quadrature, mean_interference_poisson_hole):
+               mean_interference_quadrature):
         with pytest.raises(ValidationError):
             fn(T1_21, bad)
     with pytest.raises(ValidationError):
@@ -337,7 +336,7 @@ def test_eir_quadrature_composition_matches_direct_ratio():
             pathloss = PowerLawPathLoss(alpha)
             report = eir(params, pathloss)
             direct = (mean_interference_quadrature(params, pathloss)
-                      / mean_interference_poisson_hole(params, pathloss))
+                      / report.mean_poisson_hole)
             assert report.eir_linear == pytest.approx(direct, rel=1e-10)
             assert report.mean_hardcore == pytest.approx(
                 report.eir_linear * report.mean_poisson_hole, rel=1e-12)
@@ -373,7 +372,7 @@ def test_eir_tabulated_direct_ratio_within_type2_cap():
     report = eir(T2_21, tab)
     assert 1.0 - 1e-9 <= report.eir_linear <= NU * (1 + 1e-9)
     direct = (mean_interference_quadrature(T2_21, tab)
-              / mean_interference_poisson_hole(T2_21, tab))
+              / report.mean_poisson_hole)
     assert report.eir_linear == pytest.approx(direct, rel=1e-12)
 
 

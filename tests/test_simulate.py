@@ -578,14 +578,14 @@ def test_ensemble_decides_pairs_on_untranslated_coordinates(kind, monkeypatch):
                        [-4.0, 2.0], [-4.0 + 0.6 - 1e-14, 2.8]])      # B
     rsq = np.einsum("ij,ij->i", points, points)
     theta = np.arctan2(points[:, 1], points[:, 0])
-    # the uniforms that _palm_parents maps to these squared radii and
+    # the rows of uniforms that _thin_chunk maps to these squared radii and
     # angles, between delta = 1 and the parent radius 8
     block = [(rsq - 1.0) / 63.0, theta / (2.0 * math.pi)]
     interior = origin_mark = None
     if kind is ProcessKind.MATERN_II:
         block.append(np.array([0.2, 0.3, 0.4, 0.5]))
-        interior, origin_mark = np.empty(0), 0.1
-    exterior = np.concatenate(block)
+        interior, origin_mark = np.empty((3, 0)), 0.1
+    exterior = np.array(block)
 
     def fixed_parents(params, cfg, rng, palm):
         assert palm
@@ -671,12 +671,12 @@ def test_type2_origin_kills_strictly_inside_delta_by_mark(delta, monkeypatch):
     # two, so both squares are exact. Only the parent just inside delta
     # with the larger mark dies.
     below = 1.0 - 2.0**-52
-    blocks = iter([np.array([1.0, below, 0.0, 0.5, u, u])
+    blocks = iter([np.array([[1.0, below], [0.0, 0.5], [u, u]])
                    for u in (-0.5, 0.0, 0.5)])  # marks 0.5 + 0.5*u
 
     def planted(params, cfg, rng, palm):
         assert palm
-        return next(blocks), np.empty(0), 0.5
+        return next(blocks), np.empty((3, 0)), 0.5
 
     monkeypatch.setattr(simulate, "_draw_palm_parent", planted)
     params = HardCoreParams(1.0, delta, ProcessKind.MATERN_II)
@@ -743,26 +743,23 @@ def test_ensemble_stream_is_pinned(case, size, radii, rep_ids):
     assert ens.acceptance_rate is None
 
 
-def test_type2_palm_origin_mark_and_interior_follow_the_palm_law():
+def test_type2_palm_origin_mark_and_interior_follow_the_palm_law(monkeypatch):
     # Under the Palm law of a type II process the origin's mark has
     # distribution function F(m) = (1 - exp(-a*m)) / (1 - exp(-a)),
     # a = lambda_p*pi*delta^2, and given that mark the exclusion ball holds
     # Poisson(a*(1 - m)) parents, all with larger marks.
-    from scipy import stats
-
     params = HardCoreParams(2.0, 0.5, ProcessKind.MATERN_II)
     cfg = SimulationConfig(window_radius=2.0, replicates=4000, seed=11)
     a = params.lambda_p * math.pi * params.delta ** 2
-    origin_marks = np.empty(cfg.replicates)
-    interior = np.empty(cfg.replicates)
-    for k in range(cfg.replicates):
-        ball, beyond, origin_marks[k] = simulate._draw_palm_parent(
-            params, cfg, replicate_rng(cfg.seed, k), True)
-        rsq, _, marks, _ = simulate._palm_parents(
-            params, cfg, [ball, beyond], [origin_marks[k]], True)
-        inside = rsq < params.delta ** 2
-        interior[k] = np.count_nonzero(inside)
-        assert np.all(marks[inside] >= origin_marks[k])
+    recorded = recorded_origin_marks(monkeypatch)
+    points, _, _, rep_local, marks = simulate._thin_chunk(
+        params, cfg, 0, cfg.replicates, True)
+    origin_marks = np.array(recorded)
+    assert origin_marks.size == cfg.replicates
+    x, y = points.T
+    inside = x * x + y * y < params.delta ** 2
+    interior = np.bincount(rep_local[inside], minlength=cfg.replicates)
+    assert np.all(marks[inside] >= origin_marks[rep_local[inside]])
     ks = stats.kstest(origin_marks,
                       lambda m: -np.expm1(-a * m) / -math.expm1(-a))
     assert ks.pvalue > 1e-3, ks
@@ -770,6 +767,40 @@ def test_type2_palm_origin_mark_and_interior_follow_the_palm_law():
     want = a * (1.0 - mean_mark)
     se = np.std(interior, ddof=1) / math.sqrt(cfg.replicates)
     assert abs(np.mean(interior) - want) < 4.0 * se
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.MATERN_I, ProcessKind.MATERN_II])
+def test_palm_parent_draws_follow_the_documented_order(kind):
+    # the Palm stream's bitwise pin: separate uniform(lo, hi, n) draws in
+    # the documented order; type II at a density with parents in the ball
+    lam, delta, window, seed, k = 2.0, 1.0, 3.0, 7, 4
+    params = HardCoreParams(lam, delta, kind)
+    cfg = SimulationConfig(window_radius=window, replicates=1, seed=seed)
+    points, _, _, _, marks = simulate._thin_chunk(params, cfg, k, 1, True)
+    rng = replicate_rng(seed, k)
+    rsq, theta, want_marks = [], [], []
+    if kind is ProcessKind.MATERN_II:
+        a = lam * math.pi * delta * delta
+        origin_mark = -math.log1p(rng.random() * math.expm1(-a)) / a
+        n = int(rng.poisson(a * (1.0 - origin_mark)))
+        assert n > 0
+        rsq.append(rng.uniform(0.0, delta * delta, n))
+        theta.append(rng.uniform(0.0, 2.0 * math.pi, n))
+        want_marks.append(rng.uniform(origin_mark, 1.0, n))
+    r_outer = window + delta
+    n = int(rng.poisson(lam * (math.pi * (r_outer * r_outer - delta * delta))))
+    assert n > 0
+    rsq.append(rng.uniform(delta * delta, r_outer * r_outer, n))
+    theta.append(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = np.sqrt(np.concatenate(rsq))
+    theta = np.concatenate(theta)
+    assert np.array_equal(points,
+                          np.column_stack((r * np.cos(theta), r * np.sin(theta))))
+    if kind is ProcessKind.MATERN_II:
+        want_marks.append(rng.uniform(0.0, 1.0, n))
+        assert np.array_equal(marks, np.concatenate(want_marks))
+    else:
+        assert marks is None
 
 
 @pytest.mark.parametrize("sample", [sample_palm, sample_window])
@@ -924,7 +955,7 @@ def test_stationary_intensity_counts_inclusively_at_w_minus_delta(kind,
     block = [u_rsq, u_theta]
     if kind is ProcessKind.MATERN_II:
         block.append(np.array([0.4, 0.3, 0.2, 0.1]))
-    exterior = np.concatenate(block)
+    exterior = np.array(block)
 
     def fixed_parents(params, cfg, rng, palm):
         assert not palm
@@ -947,7 +978,7 @@ def test_stationary_intensity_memory_does_not_grow_with_replicates():
     import tracemalloc
 
     params = HardCoreParams(2.0, 0.5, ProcessKind.MATERN_II)
-    estimate_intensity(params, SimulationConfig(20.0, 1, 1))  # imports
+    estimate_intensity(params, SimulationConfig(20.0, 2, 1))  # imports
     peaks = []
     for replicates in (60, 480):
         tracemalloc.start()
